@@ -49,15 +49,15 @@ void Run() {
 
   struct Curve {
     const char* name;
-    SparsePattern pattern;
+    runtime::Format format;
     int v;
   };
   const std::vector<Curve> curves{
-      {"Unstructured", SparsePattern::kUnstructured, 32},
-      {"Block-wise V=32", SparsePattern::kBlockWise, 32},
-      {"Shfl-BW V=32", SparsePattern::kShflBw, 32},
-      {"Shfl-BW V=64", SparsePattern::kShflBw, 64},
-      {"Shfl-BW V=128", SparsePattern::kShflBw, 128},
+      {"Unstructured", runtime::Format::kCsr, 32},
+      {"Block-wise V=32", runtime::Format::kBsr, 32},
+      {"Shfl-BW V=32", runtime::Format::kShflBw, 32},
+      {"Shfl-BW V=64", runtime::Format::kShflBw, 64},
+      {"Shfl-BW V=128", runtime::Format::kShflBw, 128},
   };
 
   std::printf("%-18s %9s %12s %12s\n", "pattern", "sparsity", "proxy-BLEU",
@@ -65,12 +65,10 @@ void Run() {
   for (const Curve& c : curves) {
     for (double sparsity : {0.80, 0.85, 0.90}) {
       const double density = 1.0 - sparsity;
-      PruneOptions popt;
-      popt.v = c.v;
       const QualityResult q = EvaluateQuality(
-          weights, c.pattern, density, popt, kDenseBleu, kSensitivity);
+          weights, c.format, density, c.v, kDenseBleu, kSensitivity);
       const auto perf =
-          EvaluateGemmModel(layers, counts, PatternKernelClass(c.pattern),
+          EvaluateGemmModel(layers, counts, runtime::Ops(c.format).kernel_class,
                             density, c.v, spec);
       std::printf("%-18s %8.0f%% %12.2f %11s\n", c.name, sparsity * 100,
                   q.proxy_score,

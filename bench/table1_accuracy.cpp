@@ -42,15 +42,15 @@ const std::vector<ModelProxy> kModels{
 
 struct PatternRow {
   const char* name;
-  SparsePattern pattern;
+  runtime::Format format;
   int v;
 };
 
 const std::vector<PatternRow> kPatterns{
-    {"BW,  V=32", SparsePattern::kBlockWise, 32},
-    {"VW,  V=32", SparsePattern::kVectorWise, 32},
-    {"Shfl-BW, V=32", SparsePattern::kShflBw, 32},
-    {"Shfl-BW, V=64", SparsePattern::kShflBw, 64},
+    {"BW,  V=32", runtime::Format::kBsr, 32},
+    {"VW,  V=32", runtime::Format::kVectorWise, 32},
+    {"Shfl-BW, V=32", runtime::Format::kShflBw, 32},
+    {"Shfl-BW, V=64", runtime::Format::kShflBw, 64},
 };
 
 void ProxyTable() {
@@ -69,10 +69,8 @@ void ProxyTable() {
           opt.seed = 9000 + i * 131 + m.m;
           weights.push_back(SynthesizeWeights(m.m, m.k, opt));
         }
-        PruneOptions popt;
-        popt.v = p.v;
         const QualityResult q =
-            EvaluateQuality(weights, p.pattern, 1.0 - sparsity, popt,
+            EvaluateQuality(weights, p.format, 1.0 - sparsity, p.v,
                             m.dense_score, m.sensitivity);
         std::printf(" %20.2f", q.proxy_score);
       }

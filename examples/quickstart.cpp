@@ -1,9 +1,10 @@
 // Quickstart: prune a linear layer to Shfl-BW, run the sparse kernel,
 // verify against the dense reference, and read the modelled GPU speedup.
+// Exits 1 if the sparse kernel differs from the reference.
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
-//   ./build/examples/quickstart
+//   ./build/example_quickstart
 #include <cstdio>
 
 #include "common/rng.h"
@@ -21,7 +22,7 @@ int main() {
 
   // Prune to 75% sparsity with the Shfl-BW pattern, vector size 64.
   SparseLinear::Options opt;
-  opt.pattern = SparsePattern::kShflBw;
+  opt.format = runtime::Format::kShflBw;
   opt.density = 0.25;
   opt.v = 64;
   const SparseLinear layer(weights, opt);
@@ -34,8 +35,8 @@ int main() {
   // The sparse kernel is bit-identical to the dense reference on the
   // pruned weights (fp16 operands, fp32 accumulation).
   const Matrix<float> ref = GemmReference(layer.pruned_weights(), x);
-  std::printf("max |sparse - reference| = %g (expect 0)\n",
-              MaxAbsDiff(y, ref));
+  const double err = MaxAbsDiff(y, ref);
+  std::printf("max |sparse - reference| = %g (expect 0)\n", err);
 
   // Modelled speedup over cuBLAS-style dense tensor-core GEMM.
   for (const GpuSpec& spec : AllGpus()) {
@@ -45,5 +46,5 @@ int main() {
         spec.name.c_str(), t.total_s * 1e6, BoundName(t.bound),
         layer.SpeedupOverDense(x.cols(), spec));
   }
-  return 0;
+  return err == 0.0 ? 0 : 1;
 }

@@ -1,6 +1,7 @@
 // ResNet50 scenario: run a real Shfl-BW sparse convolution (implicit
 // GEMM, §4.1) on one bottleneck 3x3 layer, verify numerics, and sweep
-// the whole network's conv stack through the performance model.
+// the whole network's conv stack through the performance model. Exits 1
+// if the sparse conv differs from the dense reference.
 #include <cstdio>
 
 #include "common/rng.h"
@@ -28,7 +29,7 @@ int main() {
   for (auto& v : input.data) v = static_cast<float>(rng.Normal());
 
   SparseConv2d::Options opt;
-  opt.pattern = SparsePattern::kShflBw;
+  opt.format = runtime::Format::kShflBw;
   opt.density = 0.25;
   opt.v = 32;
   const SparseConv2d conv(filters, shape, opt);
@@ -38,8 +39,9 @@ int main() {
       Conv2dDense(input, conv.pruned_weights(), shape,
                   GetGpuSpec(GpuArch::kV100))
           .c;
+  const double err = MaxAbsDiff(y, ref);
   std::printf("conv4.3x3: output %dx%d, max |sparse-dense ref| = %g\n",
-              y.rows(), y.cols(), MaxAbsDiff(y, ref));
+              y.rows(), y.cols(), err);
   for (const GpuSpec& spec : AllGpus()) {
     std::printf("%-6s conv speedup over cuDNN-dense: %5.2fx\n",
                 spec.name.c_str(), conv.SpeedupOverDense(spec));
@@ -61,5 +63,5 @@ int main() {
     }
     std::printf("\n");
   }
-  return 0;
+  return err == 0.0 ? 0 : 1;
 }

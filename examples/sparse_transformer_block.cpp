@@ -4,6 +4,7 @@
 // FFN through the SparseModel API, with the §4.3 LayerNorm-fused
 // transposition feeding the sparse kernels. Shows a realistic
 // deployment flow: build once (prune + compress + save), then serve.
+// Exits 1 if the saved weights do not reload byte-exactly.
 #include <cmath>
 #include <cstdio>
 
@@ -75,7 +76,7 @@ int main() {
 
   // ---- Build phase: prune + compress the FFN of one encoder block.
   SparseLinear::Options opt;
-  opt.pattern = SparsePattern::kShflBw;
+  opt.format = runtime::Format::kShflBw;
   opt.density = 0.25;
   opt.v = 64;
 
@@ -94,8 +95,9 @@ int main() {
                                          opt.density, opt.v);
   SaveShflBw(fc1, "/tmp/shflbw_fc1.bin");
   const ShflBwMatrix reloaded = LoadShflBw("/tmp/shflbw_fc1.bin");
+  const bool round_trip = reloaded.ToDense() == fc1.ToDense();
   std::printf("serialize round-trip: %s\n",
-              reloaded.ToDense() == fc1.ToDense() ? "exact" : "MISMATCH");
+              round_trip ? "exact" : "MISMATCH");
 
   // ---- Attention projections, also Shfl-BW at 75%.
   const SparseLinear wq(rng.NormalMatrix(kDim, kDim), opt);
@@ -128,5 +130,5 @@ int main() {
         spec.name.c_str(), (proj_sparse + ffn_sparse) * 1e6,
         (proj_dense + ffn_dense) / (proj_sparse + ffn_sparse));
   }
-  return 0;
+  return round_trip ? 0 : 1;
 }

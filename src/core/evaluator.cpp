@@ -4,24 +4,13 @@
 
 #include "arch/cost_model.h"
 #include "common/check.h"
+#include "core/pipeline.h"
 #include "kernels/conv2d.h"
 #include "kernels/kernel_registry.h"
 #include "prune/importance.h"
+#include "runtime/model_desc.h"
 
 namespace shflbw {
-
-KernelClass PatternKernelClass(SparsePattern pattern) {
-  switch (pattern) {
-    case SparsePattern::kDense: return KernelClass::kDenseTensorCore;
-    case SparsePattern::kUnstructured: return KernelClass::kSputnik;
-    case SparsePattern::kBlockWise: return KernelClass::kBsrTensorCore;
-    case SparsePattern::kVectorWise:
-      return KernelClass::kVectorWiseTensorCore;
-    case SparsePattern::kShflBw: return KernelClass::kShflBwTensorCore;
-    case SparsePattern::kBalanced24: return KernelClass::kBalanced24;
-  }
-  throw Error("unknown pattern");
-}
 
 std::optional<ModelSpeedup> EvaluateGemmModel(
     const std::vector<GemmLayerSpec>& layers, const std::vector<int>& counts,
@@ -51,38 +40,21 @@ std::optional<ModelSpeedup> EvaluateGemmModel(
 std::optional<ModelSpeedup> EvaluateConvModel(
     const std::vector<ConvLayerSpec>& layers, KernelClass klass,
     double density, int v, const GpuSpec& spec) {
-  const bool has_conv =
-      klass == KernelClass::kDenseTensorCore ||
-      klass == KernelClass::kVectorWiseTensorCore ||
-      klass == KernelClass::kShflBwTensorCore;
-  if (!has_conv) return std::nullopt;  // §6.2: baselines lack convolution
+  const runtime::FormatOps* ops = nullptr;
+  for (runtime::Format f : runtime::AllFormats()) {
+    if (runtime::Ops(f).kernel_class == klass) ops = &runtime::Ops(f);
+  }
+  // §6.2: baselines lack convolution.
+  if (ops == nullptr || ops->conv_stats == nullptr) return std::nullopt;
 
   const CostModel model(spec);
   ModelSpeedup total;
   for (const ConvLayerSpec& l : layers) {
-    ConvShape shape;
-    shape.batch = l.batch;
-    shape.in_c = l.in_c;
-    shape.in_h = l.in_h;
-    shape.in_w = l.in_w;
-    shape.out_c = l.out_c;
-    shape.kh = l.kh;
-    shape.kw = l.kw;
-    shape.stride = l.stride;
-    shape.pad = l.pad;
-
-    if (shape.GemmM() % v != 0) return std::nullopt;
-
+    const ConvShape shape = runtime::ToConvShape(l);
+    const auto stats = ops->conv_stats(shape, density, v, spec);
+    if (!stats) return std::nullopt;
     const double dense_s = model.Seconds(Conv2dDenseStats(shape, spec));
-    double sparse_s = 0;
-    if (klass == KernelClass::kDenseTensorCore) {
-      sparse_s = dense_s;
-    } else {
-      sparse_s = model.Seconds(
-          klass == KernelClass::kVectorWiseTensorCore
-              ? Conv2dVectorWiseStats(shape, density, v, spec)
-              : Conv2dShflBwStats(shape, density, v, spec));
-    }
+    const double sparse_s = model.Seconds(*stats);
     LayerTiming t{l.name, dense_s * l.repeat, sparse_s * l.repeat,
                   dense_s / sparse_s};
     total.dense_s += t.dense_s;
@@ -102,20 +74,17 @@ double ProxyQuality(double dense_score, double relative_retention,
 }
 
 QualityResult EvaluateQuality(const std::vector<Matrix<float>>& weights,
-                              SparsePattern pattern, double density,
-                              const PruneOptions& opts, double dense_score,
-                              double sensitivity) {
+                              runtime::Format format, double density, int v,
+                              double dense_score, double sensitivity) {
   SHFLBW_CHECK_MSG(!weights.empty(), "no weight matrices");
   double retained = 0.0;
   double unstructured_retained = 0.0;
   double total = 0.0;
   for (const Matrix<float>& w : weights) {
     const Matrix<float> scores = MagnitudeScores(w);
-    const Matrix<float> mask = PatternMask(scores, pattern, density, opts);
-    retained += RetainedScore(scores, mask);
+    retained += RetainedScore(scores, PatternMask(scores, format, density, v));
     unstructured_retained += RetainedScore(
-        scores, PatternMask(scores, SparsePattern::kUnstructured, density,
-                            opts));
+        scores, PatternMask(scores, runtime::Format::kCsr, density, v));
     for (float s : scores.storage()) total += s;
   }
   QualityResult q;

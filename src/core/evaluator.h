@@ -10,9 +10,9 @@
 
 #include "arch/gpu_spec.h"
 #include "arch/kernel_stats.h"
-#include "core/pattern.h"
-#include "core/pipeline.h"
+#include "common/matrix.h"
 #include "model/layer_spec.h"
+#include "runtime/format.h"
 
 namespace shflbw {
 
@@ -40,15 +40,14 @@ std::optional<ModelSpeedup> EvaluateGemmModel(
     const std::vector<GemmLayerSpec>& layers, const std::vector<int>& counts,
     KernelClass klass, double density, int v, const GpuSpec& spec);
 
-/// Times a convolution model (ResNet50). Only the dense baseline and our
-/// VW / Shfl-BW kernels implement convolution ("the baselines all lack
-/// implementation for convolution", §6.2) — others return nullopt.
+/// Times a convolution model (ResNet50). Only the runtime formats whose
+/// runtime::Ops entry has a conv kernel — the dense baseline and our VW
+/// / Shfl-BW kernels ("the baselines all lack implementation for
+/// convolution", §6.2) — time it; other classes return nullopt, as do
+/// VW / Shfl-BW when V does not divide some layer's out_c.
 std::optional<ModelSpeedup> EvaluateConvModel(
     const std::vector<ConvLayerSpec>& layers, KernelClass klass,
     double density, int v, const GpuSpec& spec);
-
-/// Maps a SparsePattern to the kernel class that executes it in Fig. 6.
-KernelClass PatternKernelClass(SparsePattern pattern);
 
 // ---------------------------------------------------------------------
 // Quality proxy (Table 1 / Fig. 2).
@@ -75,11 +74,10 @@ struct QualityResult {
 double ProxyQuality(double dense_score, double relative_retention,
                     double sensitivity);
 
-/// Prunes every weight matrix with `pattern` at `density` and returns
+/// Prunes every weight matrix to `format` at (density, v) and returns
 /// the aggregate retained-importance ratio and proxied score.
 QualityResult EvaluateQuality(const std::vector<Matrix<float>>& weights,
-                              SparsePattern pattern, double density,
-                              const PruneOptions& opts, double dense_score,
-                              double sensitivity);
+                              runtime::Format format, double density, int v,
+                              double dense_score, double sensitivity);
 
 }  // namespace shflbw

@@ -1,83 +1,25 @@
 #include "core/pipeline.h"
 
-#include <algorithm>
-#include <cctype>
-#include <cmath>
+#include <utility>
 
-#include "common/check.h"
 #include "format/convert.h"
-#include "prune/balanced24_prune.h"
-#include "prune/block_wise.h"
 #include "prune/importance.h"
-#include "prune/unstructured.h"
-#include "prune/vector_wise_prune.h"
 
 namespace shflbw {
 
-std::string SparsePatternName(SparsePattern p) {
-  switch (p) {
-    case SparsePattern::kDense: return "dense";
-    case SparsePattern::kUnstructured: return "unstructured";
-    case SparsePattern::kBlockWise: return "block-wise";
-    case SparsePattern::kVectorWise: return "vector-wise";
-    case SparsePattern::kShflBw: return "shfl-bw";
-    case SparsePattern::kBalanced24: return "balanced-2in4";
-  }
-  return "?";
-}
-
-SparsePattern ParseSparsePattern(const std::string& name) {
-  std::string low = name;
-  std::transform(low.begin(), low.end(), low.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (low == "dense") return SparsePattern::kDense;
-  if (low == "unstructured") return SparsePattern::kUnstructured;
-  if (low == "bw" || low == "block-wise" || low == "blockwise")
-    return SparsePattern::kBlockWise;
-  if (low == "vw" || low == "vector-wise" || low == "vectorwise")
-    return SparsePattern::kVectorWise;
-  if (low == "shflbw" || low == "shfl-bw") return SparsePattern::kShflBw;
-  if (low == "2in4" || low == "balanced-2in4" || low == "balanced")
-    return SparsePattern::kBalanced24;
-  throw Error("unknown sparse pattern: " + name);
-}
-
-Matrix<float> PatternMask(const Matrix<float>& scores, SparsePattern pattern,
-                          double density, const PruneOptions& opts) {
-  switch (pattern) {
-    case SparsePattern::kDense:
-      return Matrix<float>(scores.rows(), scores.cols(), 1.0f);
-    case SparsePattern::kUnstructured:
-      return UnstructuredMask(scores, density);
-    case SparsePattern::kBlockWise:
-      return BlockWiseMask(scores, density, opts.v);
-    case SparsePattern::kVectorWise:
-      return VectorWiseMask(scores, density, opts.v);
-    case SparsePattern::kShflBw:
-      return ShflBwSearch(scores, density, opts.v, opts.shflbw).mask;
-    case SparsePattern::kBalanced24:
-      SHFLBW_CHECK_MSG(std::abs(density - 0.5) < 1e-9,
-                       "balanced 2:4 is fixed at 50% density, got "
-                           << density);
-      return Balanced24Mask(scores);
-  }
-  throw Error("unknown pattern");
+Matrix<float> PatternMask(const Matrix<float>& scores, runtime::Format format,
+                          double density, int v) {
+  return runtime::Ops(format).mask(scores, density, v).mask;
 }
 
 PruneResult PruneWithPattern(const Matrix<float>& weights,
-                             SparsePattern pattern, double density,
-                             const PruneOptions& opts) {
-  const Matrix<float> scores = MagnitudeScores(weights);
+                             runtime::Format format, double density, int v) {
+  runtime::FormatMask m =
+      runtime::Ops(format).mask(MagnitudeScores(weights), density, v);
   PruneResult result;
-  if (pattern == SparsePattern::kShflBw) {
-    ShflBwSearchResult search =
-        ShflBwSearch(scores, density, opts.v, opts.shflbw);
-    result.mask = std::move(search.mask);
-    result.storage_to_original = std::move(search.storage_to_original);
-  } else {
-    result.mask = PatternMask(scores, pattern, density, opts);
-  }
-  result.pruned_weights = ApplyMask(weights, result.mask);
+  result.pruned_weights = ApplyMask(weights, m.mask);
+  result.mask = std::move(m.mask);
+  result.storage_to_original = std::move(m.storage_to_original);
   return result;
 }
 

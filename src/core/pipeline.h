@@ -1,38 +1,33 @@
 // The prune -> mask pipeline shared by SparseLinear/SparseConv2d and the
-// quality experiments: one entry point that applies any SparsePattern to
-// a weight matrix at a target density.
+// quality experiments: one entry point that applies any format's mask
+// (runtime::Ops, the table the inference runtime packs through) to a
+// weight matrix at a target density.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "common/matrix.h"
-#include "core/pattern.h"
-#include "prune/shfl_bw_search.h"
+#include "runtime/format.h"
 
 namespace shflbw {
 
 struct PruneResult {
-  Matrix<float> mask;             // binary mask, original row order
-  Matrix<float> pruned_weights;   // weights .* mask
-  /// Set only for kShflBw: the discovered row permutation.
-  std::optional<std::vector<int>> storage_to_original;
+  Matrix<float> mask;            // binary mask, original row order
+  Matrix<float> pruned_weights;  // weights .* mask
+  /// Shfl-BW only: the discovered row permutation (storage row ->
+  /// original row); empty for every other format.
+  std::vector<int> storage_to_original;
 };
 
-struct PruneOptions {
-  int v = 32;  // block / vector size (ignored by patterns without V)
-  ShflBwSearchOptions shflbw;  // search knobs for kShflBw
-};
-
-/// Applies `pattern` pruning at `density` to `weights`. kDense returns an
-/// all-ones mask; kBalanced24 requires density == 0.5.
+/// Prunes `weights` by magnitude to `format` at (density, v). Dense
+/// returns an all-ones mask; 2:4 requires density 0.5; formats without
+/// a granularity ignore v.
 PruneResult PruneWithPattern(const Matrix<float>& weights,
-                             SparsePattern pattern, double density,
-                             const PruneOptions& opts = {});
+                             runtime::Format format, double density, int v);
 
-/// The masker for a pattern as a grow-and-prune-compatible callable
-/// (scores, density) -> mask.
-Matrix<float> PatternMask(const Matrix<float>& scores, SparsePattern pattern,
-                          double density, const PruneOptions& opts = {});
+/// The format's mask of importance `scores` at (density, v), as a
+/// grow-and-prune-compatible masker.
+Matrix<float> PatternMask(const Matrix<float>& scores, runtime::Format format,
+                          double density, int v);
 
 }  // namespace shflbw

@@ -1,6 +1,9 @@
 #include "core/sparse_conv2d.h"
 
+#include <utility>
+
 #include "common/check.h"
+#include "core/pipeline.h"
 
 namespace shflbw {
 
@@ -12,39 +15,29 @@ SparseConv2d::SparseConv2d(const Matrix<float>& filter_matrix,
                    "filter matrix " << filter_matrix.rows() << "x"
                                     << filter_matrix.cols()
                                     << " does not match conv shape");
-  SHFLBW_CHECK_MSG(options.pattern == SparsePattern::kDense ||
-                       options.pattern == SparsePattern::kShflBw,
-                   "SparseConv2d supports dense and shfl-bw patterns "
-                   "(the paper's conv kernel); got "
-                       << SparsePatternName(options.pattern));
-  if (options.pattern == SparsePattern::kDense) {
-    pruned_weights_ = filter_matrix;
-    return;
-  }
-  PruneOptions popt;
-  popt.v = options.v;
-  popt.shflbw = options.search;
-  PruneResult pr = PruneWithPattern(filter_matrix, SparsePattern::kShflBw,
-                                    options.density, popt);
+  const runtime::FormatOps& ops = runtime::Ops(options.format);
+  SHFLBW_CHECK_MSG(ops.conv != nullptr,
+                   "SparseConv2d needs a format with a conv kernel (dense, "
+                   "vw or shfl-bw); got "
+                       << ops.name);
+  PruneResult pr = PruneWithPattern(filter_matrix, options.format,
+                                    options.density, options.v);
+  packed_.format = options.format;
+  ops.pack(pr.pruned_weights, options.v, pr.storage_to_original, packed_);
   pruned_weights_ = std::move(pr.pruned_weights);
-  shflbw_ = ShflBwMatrix::FromDense(pruned_weights_, options.v,
-                                    *pr.storage_to_original);
 }
 
 Matrix<float> SparseConv2d::Forward(const Tensor4& input) const {
-  const GpuSpec& spec = GetGpuSpec(GpuArch::kV100);
-  if (options_.pattern == SparsePattern::kDense) {
-    return Conv2dDense(input, pruned_weights_, shape_, spec).c;
-  }
-  return Conv2dShflBw(input, *shflbw_, shape_, spec, options_.tile).c;
+  return runtime::Ops(options_.format)
+      .conv(packed_, shape_, input, GetGpuSpec(GpuArch::kV100))
+      .c;
 }
 
 KernelStats SparseConv2d::Stats(const GpuSpec& spec) const {
-  if (options_.pattern == SparsePattern::kDense) {
-    return Conv2dDenseStats(shape_, spec);
-  }
-  return Conv2dShflBwStats(shape_, options_.density, options_.v, spec,
-                           options_.tile);
+  // Never nullopt here: dense has no V, and the constructor's VW-family
+  // prune already required V to divide out_c.
+  return *runtime::Ops(options_.format)
+              .conv_stats(shape_, options_.density, options_.v, spec);
 }
 
 TimeBreakdown SparseConv2d::ModelTime(const GpuSpec& spec) const {

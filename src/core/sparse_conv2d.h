@@ -1,26 +1,22 @@
-// SparseConv2d — the paper's Shfl-BW convolution layer (implicit GEMM,
-// §4.1), plus a dense cuDNN-style baseline mode.
+// SparseConv2d — the paper's sparse convolution layer (implicit GEMM,
+// §4.1), in any format whose runtime::Ops entry has a conv kernel:
+// dense (the cuDNN-style baseline), vector-wise or Shfl-BW.
 #pragma once
 
-#include <optional>
-
 #include "arch/cost_model.h"
-#include "core/pattern.h"
-#include "core/pipeline.h"
 #include "kernels/conv2d.h"
+#include "runtime/format.h"
 
 namespace shflbw {
 
-/// A 2D convolution whose filters are pruned to Shfl-BW (or kept dense).
+/// A 2D convolution whose filters are pruned to a conv-capable format.
 /// Filter weights live in implicit-GEMM layout: out_c x (in_c*kh*kw).
 class SparseConv2d {
  public:
   struct Options {
-    SparsePattern pattern = SparsePattern::kShflBw;  // kDense or kShflBw
+    runtime::Format format = runtime::Format::kShflBw;
     double density = 0.25;
     int v = 32;
-    TileConfig tile;
-    ShflBwSearchOptions search;
   };
 
   SparseConv2d(const Matrix<float>& filter_matrix, const ConvShape& shape,
@@ -40,7 +36,7 @@ class SparseConv2d {
   Options options_;
   ConvShape shape_;
   Matrix<float> pruned_weights_;
-  std::optional<ShflBwMatrix> shflbw_;
+  runtime::PackedWeight packed_;  // what Forward executes
 };
 
 }  // namespace shflbw

@@ -1,101 +1,34 @@
 #include "core/sparse_linear.h"
 
-#include "common/check.h"
+#include <utility>
+
+#include "core/pipeline.h"
 #include "kernels/gemm_dense.h"
-#include "kernels/kernel_registry.h"
-#include "kernels/spmm_balanced24.h"
-#include "kernels/spmm_bsr.h"
-#include "kernels/spmm_shfl_bw.h"
-#include "kernels/spmm_sputnik.h"
-#include "kernels/spmm_vector_wise.h"
 
 namespace shflbw {
 
 SparseLinear::SparseLinear(const Matrix<float>& weights,
                            const Options& options)
     : options_(options) {
-  PruneOptions popt;
-  popt.v = options.v;
-  popt.shflbw = options.search;
-  PruneResult pr =
-      PruneWithPattern(weights, options.pattern, options.density, popt);
+  PruneResult pr = PruneWithPattern(weights, options.format, options.density,
+                                    options.v);
+  packed_.format = options.format;
+  runtime::Ops(options.format)
+      .pack(pr.pruned_weights, options.v, pr.storage_to_original, packed_);
   pruned_weights_ = std::move(pr.pruned_weights);
   mask_ = std::move(pr.mask);
-
-  switch (options.pattern) {
-    case SparsePattern::kDense:
-      break;  // dense path keeps only pruned_weights_
-    case SparsePattern::kUnstructured:
-      csr_ = CsrMatrix::FromDense(pruned_weights_);
-      break;
-    case SparsePattern::kBlockWise:
-      bsr_ = BsrMatrix::FromDense(pruned_weights_, options.v);
-      break;
-    case SparsePattern::kVectorWise:
-      vw_ = VectorWiseMatrix::FromDense(pruned_weights_, options.v);
-      break;
-    case SparsePattern::kShflBw:
-      SHFLBW_CHECK(pr.storage_to_original.has_value());
-      shflbw_ = ShflBwMatrix::FromDense(pruned_weights_, options.v,
-                                        *pr.storage_to_original);
-      break;
-    case SparsePattern::kBalanced24:
-      b24_ = Balanced24Matrix::FromDense(pruned_weights_);
-      break;
-  }
 }
 
 Matrix<float> SparseLinear::Forward(const Matrix<float>& x) const {
   // Functional execution is architecture-independent; any spec works for
-  // the stats side of the kernel calls.
-  const GpuSpec& spec = GetGpuSpec(GpuArch::kV100);
-  switch (options_.pattern) {
-    case SparsePattern::kDense:
-      return GemmTensorCore(pruned_weights_, x, spec).c;
-    case SparsePattern::kUnstructured:
-      return SpmmSputnik(*csr_, x, spec).c;
-    case SparsePattern::kBlockWise:
-      return SpmmBsr(*bsr_, x, spec, options_.tile).c;
-    case SparsePattern::kVectorWise:
-      return SpmmVectorWise(*vw_, x, spec, options_.tile).c;
-    case SparsePattern::kShflBw:
-      return SpmmShflBw(*shflbw_, x, spec, options_.tile).c;
-    case SparsePattern::kBalanced24:
-      return SpmmBalanced24(*b24_, x, spec).c;
-  }
-  throw Error("unknown pattern");
+  // the stats side of the kernel call.
+  return runtime::Ops(options_.format)
+      .gemm(packed_, x, GetGpuSpec(GpuArch::kV100))
+      .c;
 }
 
 KernelStats SparseLinear::Stats(int n, const GpuSpec& spec) const {
-  const int m = rows(), k = cols();
-  switch (options_.pattern) {
-    case SparsePattern::kDense:
-      return GemmTensorCoreStats(m, n, k, spec);
-    case SparsePattern::kUnstructured:
-      return SpmmSputnikStats(m, n, k, csr_->Nnz(), spec);
-    case SparsePattern::kBlockWise:
-      return SpmmBsrStats(m, n, k, bsr_->NnzBlocks(), options_.v, spec,
-                          options_.tile);
-    case SparsePattern::kVectorWise: {
-      std::vector<int> kept(static_cast<std::size_t>(vw_->Groups()));
-      for (int g = 0; g < vw_->Groups(); ++g) {
-        kept[g] = vw_->KeptColumnsInGroup(g);
-      }
-      return VwFamilyStats(m, n, k, kept, options_.v, spec, options_.tile,
-                           KernelClass::kVectorWiseTensorCore, 0.0);
-    }
-    case SparsePattern::kShflBw: {
-      std::vector<int> kept(static_cast<std::size_t>(shflbw_->vw.Groups()));
-      for (int g = 0; g < shflbw_->vw.Groups(); ++g) {
-        kept[g] = shflbw_->vw.KeptColumnsInGroup(g);
-      }
-      return VwFamilyStats(m, n, k, kept, options_.v, spec, options_.tile,
-                           KernelClass::kShflBwTensorCore, 4.0 * m);
-    }
-    case SparsePattern::kBalanced24:
-      return SpmmBalanced24Stats(m, n, k, spec);
-  }
-  throw Error("unknown pattern");
+  return runtime::Ops(options_.format).gemm_stats(packed_, n, spec);
 }
 
 TimeBreakdown SparseLinear::ModelTime(int n, const GpuSpec& spec) const {

@@ -1,10 +1,11 @@
 // SparseLinear — the flagship public API: a weight-pruned linear layer
 // that owns the whole paper pipeline (prune -> compress -> execute on the
-// pattern's best kernel -> model the GPU time).
+// format's kernel -> model the GPU time), dispatched through the same
+// runtime::Ops entries the inference runtime packs and executes with.
 //
 // Typical use (see examples/quickstart.cpp):
 //   SparseLinear::Options opt;
-//   opt.pattern = SparsePattern::kShflBw;
+//   opt.format = runtime::Format::kShflBw;
 //   opt.density = 0.25;           // 75% sparsity
 //   opt.v = 64;
 //   SparseLinear layer(weights, opt);
@@ -12,18 +13,10 @@
 //   double speedup = layer.SpeedupOverDense(x.cols(), GetGpuSpec(arch));
 #pragma once
 
-#include <optional>
-
 #include "arch/cost_model.h"
 #include "arch/gpu_spec.h"
-#include "core/pattern.h"
-#include "core/pipeline.h"
-#include "format/balanced24.h"
-#include "format/bsr.h"
-#include "format/csr.h"
-#include "format/shfl_bw.h"
-#include "format/vector_wise.h"
-#include "kernels/kernel_api.h"
+#include "common/matrix.h"
+#include "runtime/format.h"
 
 namespace shflbw {
 
@@ -31,18 +24,16 @@ namespace shflbw {
 class SparseLinear {
  public:
   struct Options {
-    SparsePattern pattern = SparsePattern::kShflBw;
+    runtime::Format format = runtime::Format::kShflBw;
     double density = 0.25;
     int v = 32;
-    TileConfig tile;
-    ShflBwSearchOptions search;
   };
 
   /// Prunes `weights` (M x K, original order) per the options and
-  /// compresses into the pattern's kernel format.
+  /// compresses into the format's packed representation.
   SparseLinear(const Matrix<float>& weights, const Options& options);
 
-  /// Executes the layer on activations x (K x N) with the pattern's
+  /// Executes the layer on activations x (K x N) with the format's
   /// kernel; returns M x N. Bit-identical to GemmReference on the pruned
   /// weights.
   Matrix<float> Forward(const Matrix<float>& x) const;
@@ -68,12 +59,7 @@ class SparseLinear {
   Options options_;
   Matrix<float> pruned_weights_;  // dense masked weights, original order
   Matrix<float> mask_;
-  // Compressed form matching the pattern (at most one is engaged).
-  std::optional<CsrMatrix> csr_;
-  std::optional<BsrMatrix> bsr_;
-  std::optional<VectorWiseMatrix> vw_;
-  std::optional<ShflBwMatrix> shflbw_;
-  std::optional<Balanced24Matrix> b24_;
+  runtime::PackedWeight packed_;  // what Forward executes
 };
 
 }  // namespace shflbw

@@ -2,12 +2,7 @@
 
 #include "common/check.h"
 #include "model/weight_synth.h"
-#include "prune/balanced24_prune.h"
-#include "prune/block_wise.h"
 #include "prune/importance.h"
-#include "prune/shfl_bw_search.h"
-#include "prune/unstructured.h"
-#include "prune/vector_wise_prune.h"
 
 namespace shflbw {
 namespace quality {
@@ -39,31 +34,11 @@ double QualityEvaluator::RetainedRatio(int m, int k, std::uint64_t seed,
   auto it = ratios_.find(key);
   if (it != ratios_.end()) return it->second;
 
-  // Exactly the masks PackWeight applies (runtime/weight_cache.cpp):
-  // every pruner scores by magnitude and ShflBwSearch runs with its
-  // default (fixed-seed) options, so planning-time quality == the
-  // quality of the packed weight the engine executes.
+  // The mask PackWeight applies, by construction: both ask Ops(format)
+  // for the magnitude mask at (density, v).
   const ScoresEntry& entry = Scores(m, k, seed);
-  Matrix<float> mask;
-  switch (format) {
-    case runtime::Format::kCsr:
-      mask = UnstructuredMask(entry.scores, density);
-      break;
-    case runtime::Format::kBsr:
-      mask = BlockWiseMask(entry.scores, density, v);
-      break;
-    case runtime::Format::kBalanced24:
-      mask = Balanced24Mask(entry.scores);  // density fixed at 0.5
-      break;
-    case runtime::Format::kVectorWise:
-      mask = VectorWiseMask(entry.scores, density, v);
-      break;
-    case runtime::Format::kShflBw:
-      mask = ShflBwSearch(entry.scores, density, v).mask;
-      break;
-    case runtime::Format::kDense:
-      break;  // handled above
-  }
+  const Matrix<float> mask =
+      runtime::Ops(format).mask(entry.scores, density, v).mask;
   const double ratio = RetainedScoreRatio(entry.scores, mask);
   ++evaluations_;
   ratios_.emplace(key, ratio);

@@ -3,13 +3,11 @@
 //
 // For each candidate the evaluator synthesizes the layer's master
 // weight (model/weight_synth.h — the same deterministic stand-in for a
-// trained checkpoint the engine packs), applies the matching pruner
-// from src/prune/ (unstructured for CSR, block-wise for BSR, 2:4 for
-// balanced24, vector-wise for VW, the Fig. 5 shuffle search for
-// Shfl-BW), and reports RetainedScoreRatio — the Table 1 quality proxy
-// (DESIGN.md §0). Because the pruners here are byte-for-byte the ones
-// PackWeight runs, the ratio a plan reports is exactly the ratio of
-// the mask the engine will execute.
+// trained checkpoint the engine packs), applies the format's mask from
+// the runtime::Ops table, and reports RetainedScoreRatio — the Table 1
+// quality proxy (DESIGN.md §0). PackWeight prunes through the same
+// table entry, so the ratio a plan reports is by construction the
+// ratio of the mask the engine will execute.
 //
 // Evaluations are memoized per (shape, seed, format, density, V), and
 // synthesized importance scores per (shape, seed), so a planning sweep
@@ -37,10 +35,10 @@ class QualityEvaluator {
  public:
   /// Retained-score ratio of the mask `format` keeps on the synthetic
   /// m x k master seeded `seed`, pruned at (density, v). Dense is
-  /// exactly 1.0 (nothing pruned); balanced24 ignores `density` (the
-  /// pattern fixes it at 0.5). The caller is responsible for only
-  /// asking feasible combinations (shape divisible by v etc.) — the
-  /// pruners throw shflbw::Error otherwise, as they do at pack time.
+  /// exactly 1.0 (nothing pruned). The caller is responsible for only
+  /// asking feasible combinations (shape divisible by v, 2:4 at
+  /// density 0.5 etc.) — the mask throws shflbw::Error otherwise,
+  /// exactly as it does at pack time.
   double RetainedRatio(int m, int k, std::uint64_t seed,
                        runtime::Format format, double density, int v)
       SHFLBW_EXCLUDES(mu_);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <sstream>
 #include <vector>
 
 #include "common/check.h"
@@ -71,26 +72,31 @@ std::vector<FormatCandidate> EnumerateCandidates(
       candidates.push_back(std::move(c));
       continue;
     }
-    if (f == Format::kBalanced24) {
-      // 2:4 ignores V and fixes density at 0.5: one candidate, not one
+    const runtime::FormatOps& ops = runtime::Ops(f);
+    if (ops.fixed_density > 0) {
+      // A fixed-density format (2:4) ignores V: one candidate, not one
       // per ladder point (duplicates would waste autotune measurement
       // slots on byte-identical packs).
       FormatCandidate c;
       c.format = f;
-      c.density = 0.5;
+      c.density = ops.fixed_density;
       c.v = opts.v;
-      if (std::find(densities.begin(), densities.end(), 0.5) ==
+      if (std::find(densities.begin(), densities.end(), ops.fixed_density) ==
           densities.end()) {
-        c.why = "0.5 not in density_ladder (2:4 fixes density at 0.5)";
+        std::ostringstream why;
+        why << ops.fixed_density << " not in density_ladder ("
+            << ops.FixedDensityRule() << ")";
+        c.why = why.str();
       } else {
         PlannerOptions point = opts;
-        point.density = 0.5;
+        point.density = ops.fixed_density;
         const auto s = ModeledLayerSeconds(l, f, point, &c.why);
         if (s) {
           c.feasible = true;
           c.modeled_s = *s;
-          c.retained_ratio = evaluator.LayerRetainedRatio(
-              l, index, opts.quality.weight_seed, f, 0.5, opts.v);
+          c.retained_ratio =
+              evaluator.LayerRetainedRatio(l, index, opts.quality.weight_seed,
+                                           f, ops.fixed_density, opts.v);
         }
       }
       candidates.push_back(std::move(c));

@@ -7,12 +7,6 @@
 #include "common/check.h"
 #include "common/clock.h"
 #include "common/rng.h"
-#include "kernels/gemm_dense.h"
-#include "kernels/spmm_balanced24.h"
-#include "kernels/spmm_bsr.h"
-#include "kernels/spmm_shfl_bw.h"
-#include "kernels/spmm_sputnik.h"
-#include "kernels/spmm_vector_wise.h"
 #include "model/weight_synth.h"
 
 namespace shflbw {
@@ -64,6 +58,16 @@ void Engine::AdoptPlan(ExecutionPlan plan) {
                    "adopted plan has " << plan.layers.size()
                                        << " layers, model has "
                                        << model_.layers.size());
+  // PlanModel never puts a conv layer on a format without a conv
+  // kernel; an adopted plan is checked here so no launch can.
+  for (std::size_t i = 0; i < plan.layers.size(); ++i) {
+    const LayerPlan& lp = plan.layers[i];
+    SHFLBW_CHECK_MSG(
+        model_.layers[i].kind != LayerKind::kConv || Ops(lp.format).conv,
+        "adopted plan runs conv layer " << lp.name << " as "
+                                        << FormatName(lp.format)
+                                        << ", which has no conv kernel");
+  }
   plan_ = std::move(plan);
 }
 
@@ -87,36 +91,6 @@ const PackedWeight& Engine::Packed(int layer, Format format, double density,
       layer, format,
       [&]() -> const Matrix<float>& { return MasterWeight(layer); }, density,
       v);
-}
-
-KernelResult Engine::ExecuteGemm(const PackedWeight& w,
-                                 const Matrix<float>& act) {
-  switch (w.format) {
-    case Format::kDense: return GemmTensorCore(w.dense, act, spec_);
-    case Format::kCsr: return SpmmSputnik(w.csr, act, spec_);
-    case Format::kBsr: return SpmmBsr(w.bsr, act, spec_);
-    case Format::kBalanced24: return SpmmBalanced24(w.balanced24, act, spec_);
-    case Format::kVectorWise: return SpmmVectorWise(w.vw, act, spec_);
-    case Format::kShflBw: return SpmmShflBw(w.shflbw, act, spec_);
-  }
-  throw Error("unknown Format");
-}
-
-KernelResult Engine::ExecuteConv(const PackedWeight& w, const ConvShape& shape,
-                                 const Tensor4& input) {
-  switch (w.format) {
-    case Format::kDense: return Conv2dDense(input, w.dense, shape, spec_);
-    case Format::kShflBw: return Conv2dShflBw(input, w.shflbw, shape, spec_);
-    case Format::kVectorWise: {
-      // Implicit GEMM with the VW kernel: same engine as Shfl-BW minus
-      // the row shuffle (the unfold is shared with Conv2dDense).
-      const Matrix<float> b = Im2Col(input, shape);
-      return SpmmVectorWise(w.vw, b, spec_);
-    }
-    default:
-      throw Error("format " + FormatName(w.format) +
-                  " has no conv implementation");
-  }
 }
 
 const Matrix<float>& Engine::FusedGemmInput(int k, int n, int width) {
@@ -275,7 +249,7 @@ BatchRunResult Engine::RunBatched(const std::vector<std::uint64_t>& seeds,
       block_n = l.gemm.n;
       const Matrix<float>& act = FusedGemmInput(l.gemm.k, l.gemm.n, width);
       t0 = NowSeconds();
-      kr = ExecuteGemm(w, act);
+      kr = Ops(w.format).gemm(w, act, spec_);
       t1 = NowSeconds();
     } else {
       const ConvShape shape = ToConvShape(l.conv);
@@ -284,7 +258,7 @@ BatchRunResult Engine::RunBatched(const std::vector<std::uint64_t>& seeds,
       fused.batch = shape.batch * width;
       const Tensor4& input = FusedConvInput(shape, width);
       t0 = NowSeconds();
-      kr = ExecuteConv(w, fused, input);
+      kr = Ops(w.format).conv(w, fused, input, spec_);
       t1 = NowSeconds();
     }
 
@@ -401,14 +375,14 @@ double Engine::TimeLayerOnce(int layer, const FormatCandidate& cand) {
   if (l.kind == LayerKind::kGemm) {
     const Matrix<float> act = rng.NormalMatrix(l.gemm.k, l.gemm.n);
     const double t0 = NowSeconds();
-    (void)ExecuteGemm(w, act);
+    (void)Ops(w.format).gemm(w, act, spec_);
     return NowSeconds() - t0;
   }
   const ConvShape shape = ToConvShape(l.conv);
   Tensor4 input(shape.batch, shape.in_c, shape.in_h, shape.in_w);
   for (float& x : input.data) x = static_cast<float>(rng.Normal());
   const double t0 = NowSeconds();
-  (void)ExecuteConv(w, shape, input);
+  (void)Ops(w.format).conv(w, shape, input, spec_);
   return NowSeconds() - t0;
 }
 

@@ -132,8 +132,8 @@ class Engine {
   /// just skips the redundant work, which matters when the BatchServer
   /// stands up replicas x ladder-levels engines whose quality-aware
   /// plans each score every (layer, format, density, V) mask. Only
-  /// valid before the first Plan()/Run(), and the layer count must
-  /// match the model.
+  /// valid before the first Plan()/Run(); the layer count must match
+  /// the model and every conv layer's format must have a conv kernel.
   void AdoptPlan(ExecutionPlan plan);
 
   /// Executes the model end-to-end. The first Run packs any weight the
@@ -184,12 +184,6 @@ class Engine {
   /// quality-aware plan can mix densities across layers while the
   /// cache key (layer, format, density, v) keeps entries distinct.
   const PackedWeight& Packed(int layer, Format format, double density, int v);
-
-  /// Executes one GEMM layer on the packed weight.
-  KernelResult ExecuteGemm(const PackedWeight& w, const Matrix<float>& act);
-  /// Executes one conv layer on the packed weight.
-  KernelResult ExecuteConv(const PackedWeight& w, const ConvShape& shape,
-                           const Tensor4& input);
 
   /// Fills this layer's fused input from the per-request activation
   /// streams (each request's previous-layer RMS-normalized output,

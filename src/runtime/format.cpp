@@ -1,47 +1,263 @@
 #include "runtime/format.h"
 
+#include <cmath>
+#include <iterator>
+#include <sstream>
+
 #include "common/check.h"
+#include "kernels/gemm_dense.h"
+#include "kernels/spmm_balanced24.h"
+#include "kernels/spmm_bsr.h"
+#include "kernels/spmm_shfl_bw.h"
+#include "kernels/spmm_sputnik.h"
+#include "kernels/spmm_vector_wise.h"
+#include "prune/balanced24_prune.h"
+#include "prune/block_wise.h"
+#include "prune/shfl_bw_search.h"
+#include "prune/unstructured.h"
+#include "prune/vector_wise_prune.h"
 
 namespace shflbw {
 namespace runtime {
+namespace {
+
+std::vector<int> KeptPerGroup(const VectorWiseMatrix& vw) {
+  std::vector<int> kept(static_cast<std::size_t>(vw.Groups()));
+  for (int g = 0; g < vw.Groups(); ++g) kept[g] = vw.KeptColumnsInGroup(g);
+  return kept;
+}
+
+const char* NoStatsLimit(const GpuSpec&) { return "stats model undefined"; }
+const char* VNotDividingM(const GpuSpec&) { return "m not divisible by V"; }
+
+// Indexed by Format; AllFormats() is this order.
+constexpr FormatOps kOps[] = {
+    {
+        .format = Format::kDense,
+        .name = "dense",
+        .kernel_class = KernelClass::kDenseTensorCore,
+        .fixed_density = 0,
+        .mask = [](const Matrix<float>& scores, double, int) {
+          return FormatMask{
+              Matrix<float>(scores.rows(), scores.cols(), 1.0f), {}};
+        },
+        // Kernels round operands through fp16 per call; rounding the
+        // weight once here keeps the execution path conversion-free.
+        .pack = [](const Matrix<float>& pruned, int, const std::vector<int>&,
+                   PackedWeight& out) {
+          out.dense = RoundThroughFp16(pruned);
+        },
+        .gemm = [](const PackedWeight& w, const Matrix<float>& act,
+                   const GpuSpec& spec) {
+          return GemmTensorCore(w.dense, act, spec);
+        },
+        .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
+          return GemmTensorCoreStats(w.dense.rows(), n, w.dense.cols(), spec);
+        },
+        .conv = [](const PackedWeight& w, const ConvShape& shape,
+                   const Tensor4& input, const GpuSpec& spec) {
+          return Conv2dDense(input, w.dense, shape, spec);
+        },
+        .conv_stats = [](const ConvShape& shape, double, int,
+                         const GpuSpec& spec) -> std::optional<KernelStats> {
+          return Conv2dDenseStats(shape, spec);
+        },
+        .infeasible = NoStatsLimit,
+    },
+    {
+        .format = Format::kCsr,
+        .name = "csr",
+        .kernel_class = KernelClass::kSputnik,
+        .fixed_density = 0,
+        .mask = [](const Matrix<float>& scores, double density, int) {
+          return FormatMask{UnstructuredMask(scores, density), {}};
+        },
+        .pack = [](const Matrix<float>& pruned, int, const std::vector<int>&,
+                   PackedWeight& out) {
+          out.csr = CsrMatrix::FromDense(pruned);
+        },
+        .gemm = [](const PackedWeight& w, const Matrix<float>& act,
+                   const GpuSpec& spec) {
+          return SpmmSputnik(w.csr, act, spec);
+        },
+        .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
+          return SpmmSputnikStats(w.csr.rows, n, w.csr.cols, w.csr.Nnz(), spec);
+        },
+        .conv = nullptr,
+        .conv_stats = nullptr,
+        .infeasible = NoStatsLimit,
+    },
+    {
+        .format = Format::kBsr,
+        .name = "bsr",
+        .kernel_class = KernelClass::kBsrTensorCore,
+        .fixed_density = 0,
+        .mask = [](const Matrix<float>& scores, double density, int v) {
+          return FormatMask{BlockWiseMask(scores, density, v), {}};
+        },
+        .pack = [](const Matrix<float>& pruned, int v, const std::vector<int>&,
+                   PackedWeight& out) {
+          out.bsr = BsrMatrix::FromDense(pruned, v);
+        },
+        .gemm = [](const PackedWeight& w, const Matrix<float>& act,
+                   const GpuSpec& spec) {
+          return SpmmBsr(w.bsr, act, spec);
+        },
+        .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
+          return SpmmBsrStats(w.bsr.rows, n, w.bsr.cols, w.bsr.NnzBlocks(),
+                              w.bsr.block_size, spec);
+        },
+        .conv = nullptr,
+        .conv_stats = nullptr,
+        .infeasible =
+            [](const GpuSpec&) { return "m or k not divisible by V"; },
+    },
+    {
+        .format = Format::kBalanced24,
+        .name = "2:4",
+        .kernel_class = KernelClass::kBalanced24,
+        .fixed_density = 0.5,
+        .mask = [](const Matrix<float>& scores, double density, int) {
+          const FormatOps& ops = Ops(Format::kBalanced24);
+          SHFLBW_CHECK_MSG(ops.HoldsDensity(density),
+                           ops.FixedDensityRule() << ", got " << density);
+          return FormatMask{Balanced24Mask(scores), {}};
+        },
+        .pack = [](const Matrix<float>& pruned, int, const std::vector<int>&,
+                   PackedWeight& out) {
+          out.balanced24 = Balanced24Matrix::FromDense(pruned);
+        },
+        .gemm = [](const PackedWeight& w, const Matrix<float>& act,
+                   const GpuSpec& spec) {
+          return SpmmBalanced24(w.balanced24, act, spec);
+        },
+        .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
+          return SpmmBalanced24Stats(w.balanced24.rows, n, w.balanced24.cols,
+                                     spec);
+        },
+        .conv = nullptr,
+        .conv_stats = nullptr,
+        .infeasible = [](const GpuSpec& spec) {
+          return spec.arch != GpuArch::kA100 ? "sparse tensor-core is A100-only"
+                                             : "k not divisible by 4";
+        },
+    },
+    {
+        .format = Format::kVectorWise,
+        .name = "vw",
+        .kernel_class = KernelClass::kVectorWiseTensorCore,
+        .fixed_density = 0,
+        .mask = [](const Matrix<float>& scores, double density, int v) {
+          return FormatMask{VectorWiseMask(scores, density, v), {}};
+        },
+        .pack = [](const Matrix<float>& pruned, int v, const std::vector<int>&,
+                   PackedWeight& out) {
+          out.vw = VectorWiseMatrix::FromDense(pruned, v);
+        },
+        .gemm = [](const PackedWeight& w, const Matrix<float>& act,
+                   const GpuSpec& spec) {
+          return SpmmVectorWise(w.vw, act, spec);
+        },
+        .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
+          return VwFamilyStats(w.vw.rows, n, w.vw.cols, KeptPerGroup(w.vw),
+                               w.vw.v, spec, TileConfig{},
+                               KernelClass::kVectorWiseTensorCore,
+                               /*extra_metadata_bytes=*/0.0);
+        },
+        // Implicit GEMM with the VW kernel: Conv2dShflBw minus the row
+        // shuffle (the unfold is shared with Conv2dDense).
+        .conv = [](const PackedWeight& w, const ConvShape& shape,
+                   const Tensor4& input, const GpuSpec& spec) {
+          return SpmmVectorWise(w.vw, Im2Col(input, shape), spec);
+        },
+        .conv_stats = [](const ConvShape& shape, double density, int v,
+                         const GpuSpec& spec) -> std::optional<KernelStats> {
+          if (shape.GemmM() % v != 0) return std::nullopt;
+          return Conv2dVectorWiseStats(shape, density, v, spec);
+        },
+        .infeasible = VNotDividingM,
+    },
+    {
+        .format = Format::kShflBw,
+        .name = "shfl-bw",
+        .kernel_class = KernelClass::kShflBwTensorCore,
+        .fixed_density = 0,
+        .mask = [](const Matrix<float>& scores, double density, int v) {
+          ShflBwSearchResult search = ShflBwSearch(scores, density, v);
+          return FormatMask{std::move(search.mask),
+                            std::move(search.storage_to_original)};
+        },
+        .pack = [](const Matrix<float>& pruned, int v,
+                   const std::vector<int>& storage_to_original,
+                   PackedWeight& out) {
+          out.shflbw = ShflBwMatrix::FromDense(pruned, v, storage_to_original);
+        },
+        .gemm = [](const PackedWeight& w, const Matrix<float>& act,
+                   const GpuSpec& spec) {
+          return SpmmShflBw(w.shflbw, act, spec);
+        },
+        .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
+          const ShflBwMatrix& s = w.shflbw;
+          return VwFamilyStats(s.rows(), n, s.cols(), KeptPerGroup(s.vw), s.v(),
+                               spec, TileConfig{},
+                               KernelClass::kShflBwTensorCore,
+                               /*extra_metadata_bytes=*/4.0 * s.rows());
+        },
+        .conv = [](const PackedWeight& w, const ConvShape& shape,
+                   const Tensor4& input, const GpuSpec& spec) {
+          return Conv2dShflBw(input, w.shflbw, shape, spec);
+        },
+        .conv_stats = [](const ConvShape& shape, double density, int v,
+                         const GpuSpec& spec) -> std::optional<KernelStats> {
+          if (shape.GemmM() % v != 0) return std::nullopt;
+          return Conv2dShflBwStats(shape, density, v, spec);
+        },
+        .infeasible = VNotDividingM,
+    },
+};
+
+constexpr bool InFormatOrder() {
+  for (std::size_t i = 0; i < std::size(kOps); ++i) {
+    if (static_cast<std::size_t>(kOps[i].format) != i) return false;
+  }
+  return true;
+}
+static_assert(InFormatOrder(), "kOps must be indexed by Format");
+
+}  // namespace
+
+const FormatOps& Ops(Format f) {
+  const auto i = static_cast<std::size_t>(f);
+  SHFLBW_CHECK_MSG(i < std::size(kOps), "unknown Format " << i);
+  return kOps[i];
+}
+
+bool FormatOps::HoldsDensity(double density) const {
+  return fixed_density == 0 || std::abs(density - fixed_density) <= 1e-9;
+}
+
+std::string FormatOps::FixedDensityRule() const {
+  std::ostringstream rule;
+  rule << name << " fixes density at " << fixed_density;
+  return rule.str();
+}
 
 const std::vector<Format>& AllFormats() {
-  static const std::vector<Format> kAll{
-      Format::kDense,      Format::kCsr,        Format::kBsr,
-      Format::kBalanced24, Format::kVectorWise, Format::kShflBw,
-  };
+  static const std::vector<Format> kAll = [] {
+    std::vector<Format> all;
+    for (const FormatOps& ops : kOps) all.push_back(ops.format);
+    return all;
+  }();
   return kAll;
 }
 
-std::string FormatName(Format f) {
-  switch (f) {
-    case Format::kDense: return "dense";
-    case Format::kCsr: return "csr";
-    case Format::kBsr: return "bsr";
-    case Format::kBalanced24: return "2:4";
-    case Format::kVectorWise: return "vw";
-    case Format::kShflBw: return "shfl-bw";
-  }
-  throw Error("unknown Format");
-}
+std::string FormatName(Format f) { return Ops(f).name; }
 
 Format ParseFormat(const std::string& name) {
-  for (Format f : AllFormats()) {
-    if (FormatName(f) == name) return f;
+  for (const FormatOps& ops : kOps) {
+    if (ops.name == name) return ops.format;
   }
   throw Error("unknown format name: " + name);
-}
-
-KernelClass FormatKernelClass(Format f) {
-  switch (f) {
-    case Format::kDense: return KernelClass::kDenseTensorCore;
-    case Format::kCsr: return KernelClass::kSputnik;
-    case Format::kBsr: return KernelClass::kBsrTensorCore;
-    case Format::kBalanced24: return KernelClass::kBalanced24;
-    case Format::kVectorWise: return KernelClass::kVectorWiseTensorCore;
-    case Format::kShflBw: return KernelClass::kShflBwTensorCore;
-  }
-  throw Error("unknown Format");
 }
 
 }  // namespace runtime

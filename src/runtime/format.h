@@ -1,14 +1,28 @@
-// Storage formats the inference runtime can select per layer. Each
-// format pairs a packed weight representation (src/format/) with the
-// kernel that executes it (src/kernels/); the planner ranks them with
-// the arch cost model and the engine packs the winner once into the
-// PackedWeightCache.
+// Storage formats the inference runtime can select per layer, and the
+// one table holding everything that differs between them. Each format
+// is one sparsity pattern of Fig. 3: the mask that prunes it
+// (src/prune/), the packed representation (src/format/) and the kernel
+// that executes it (src/kernels/). The planner ranks formats with the
+// arch cost model, the weight cache packs the winner once, the engine
+// executes it, the quality evaluator scores its mask and the
+// SparseLinear / SparseConv2d API runs it — all through Ops(format), so
+// the mask a plan scores is by construction the mask the engine packs.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "arch/gpu_spec.h"
 #include "arch/kernel_stats.h"
+#include "common/matrix.h"
+#include "format/balanced24.h"
+#include "format/bsr.h"
+#include "format/csr.h"
+#include "format/shfl_bw.h"
+#include "format/vector_wise.h"
+#include "kernels/conv2d.h"
+#include "kernels/kernel_api.h"
 
 namespace shflbw {
 namespace runtime {
@@ -23,7 +37,8 @@ enum class Format {
   kShflBw,      // the paper's shuffled vector-wise kernel
 };
 
-/// All selectable formats, in evaluation order.
+/// All selectable formats, in evaluation order (the planner breaks
+/// modelled-time ties by it).
 const std::vector<Format>& AllFormats();
 
 /// Short stable name ("dense", "csr", "bsr", "2:4", "vw", "shfl-bw").
@@ -32,11 +47,77 @@ std::string FormatName(Format f);
 /// Inverse of FormatName; throws shflbw::Error on unknown names.
 Format ParseFormat(const std::string& name);
 
-/// The kernel class whose stats model / efficiency calibration times
-/// this format. CSR maps to Sputnik — the stronger of the two
-/// unstructured baselines — and both CSR kernels share one functional
-/// core anyway (RunCsrRowParallel).
-KernelClass FormatKernelClass(Format f);
+/// A weight pruned and converted for one format. Only the member
+/// matching `format` is populated (dense holds the fp16-rounded weight).
+struct PackedWeight {
+  Format format = Format::kDense;
+  Matrix<float> dense;
+  CsrMatrix csr;
+  BsrMatrix bsr;
+  Balanced24Matrix balanced24;
+  VectorWiseMatrix vw;
+  ShflBwMatrix shflbw;
+  double pack_seconds = 0;  // wall-clock spent pruning + converting
+};
+
+/// A pruning mask in original row order, plus the row permutation the
+/// Shfl-BW search discovered (storage row -> original row; empty for
+/// every other format).
+struct FormatMask {
+  Matrix<float> mask;
+  std::vector<int> storage_to_original;
+};
+
+/// One format's entry in the table: every per-format decision.
+struct FormatOps {
+  Format format;
+  const char* name;  // FormatName
+  /// The kernel class whose stats model / efficiency calibration times
+  /// this format. CSR maps to Sputnik — the stronger of the two
+  /// unstructured baselines (both share RunCsrRowParallel).
+  KernelClass kernel_class;
+  /// The one kept density the format can hold, or 0 when any density
+  /// in (0, 1] works. 2:4 keeps two of every four weights, so it holds
+  /// exactly 0.5 and ignores V.
+  double fixed_density;
+
+  /// Mask of importance `scores` at (density, v). Throws shflbw::Error
+  /// on a density the format cannot hold or a shape V does not divide.
+  FormatMask (*mask)(const Matrix<float>& scores, double density, int v);
+  /// Converts `pruned` (a weight with this format's mask applied, in
+  /// original row order) into `out`; Shfl-BW also takes the mask's
+  /// permutation. Does not set out.format.
+  void (*pack)(const Matrix<float>& pruned, int v,
+               const std::vector<int>& storage_to_original,
+               PackedWeight& out);
+  /// C = W * act on the format's kernel.
+  KernelResult (*gemm)(const PackedWeight& w, const Matrix<float>& act,
+                       const GpuSpec& spec);
+  /// The stats `gemm` reports for `w` on n activation columns, without
+  /// running it.
+  KernelStats (*gemm_stats)(const PackedWeight& w, int n,
+                            const GpuSpec& spec);
+  /// Implicit-GEMM convolution and its stats model at (density, v);
+  /// conv_stats is nullopt when V does not divide out_c. Both are null
+  /// for formats without a conv kernel ("the baselines all lack
+  /// implementation for convolution", §6.2).
+  KernelResult (*conv)(const PackedWeight& w, const ConvShape& shape,
+                       const Tensor4& input, const GpuSpec& spec);
+  std::optional<KernelStats> (*conv_stats)(const ConvShape& shape,
+                                           double density, int v,
+                                           const GpuSpec& spec);
+  /// Why the GEMM stats model (LayerStats of kernel_class) rejects a
+  /// layer on `spec`: the format's shape or hardware constraint.
+  const char* (*infeasible)(const GpuSpec& spec);
+
+  /// True when the format can hold kept density `density`.
+  [[nodiscard]] bool HoldsDensity(double density) const;
+  /// "2:4 fixes density at 0.5" — meaningful when fixed_density > 0.
+  [[nodiscard]] std::string FixedDensityRule() const;
+};
+
+/// The table entry of `f`.
+const FormatOps& Ops(Format f);
 
 }  // namespace runtime
 }  // namespace shflbw

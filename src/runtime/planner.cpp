@@ -1,47 +1,15 @@
 #include "runtime/planner.h"
 
 #include <algorithm>
-#include <cmath>
+#include <utility>
 
 #include "arch/cost_model.h"
 #include "common/check.h"
-#include "kernels/conv2d.h"
 #include "kernels/kernel_registry.h"
 #include "quality/quality_planner.h"
 
 namespace shflbw {
 namespace runtime {
-namespace {
-
-std::optional<double> ModeledConvSeconds(const ConvLayerSpec& l,
-                                         Format format,
-                                         const PlannerOptions& opts,
-                                         const GpuSpec& spec,
-                                         std::string* why) {
-  const ConvShape shape = ToConvShape(l);
-  const CostModel model(spec);
-  switch (format) {
-    case Format::kDense:
-      return model.Seconds(Conv2dDenseStats(shape, spec));
-    case Format::kShflBw:
-    case Format::kVectorWise: {
-      if (shape.GemmM() % opts.v != 0) {
-        if (why) *why = "out_c not divisible by V";
-        return std::nullopt;
-      }
-      const KernelStats s =
-          format == Format::kShflBw
-              ? Conv2dShflBwStats(shape, opts.density, opts.v, spec)
-              : Conv2dVectorWiseStats(shape, opts.density, opts.v, spec);
-      return model.Seconds(s);
-    }
-    default:
-      if (why) *why = "no conv implementation";  // §6.2
-      return std::nullopt;
-  }
-}
-
-}  // namespace
 
 void ValidatePlannerOptions(const PlannerOptions& opts) {
   SHFLBW_CHECK_MSG(opts.density > 0.0 && opts.density <= 1.0,
@@ -86,40 +54,27 @@ std::optional<double> ModeledLayerSeconds(const LayerDesc& l, Format format,
                                           const PlannerOptions& opts,
                                           std::string* why) {
   const GpuSpec& spec = GetGpuSpec(opts.arch);
+  const FormatOps& ops = Ops(format);
+  const auto reject = [why](std::string reason) -> std::optional<double> {
+    if (why) *why = std::move(reason);
+    return std::nullopt;
+  };
   if (l.kind == LayerKind::kConv) {
-    return ModeledConvSeconds(l.conv, format, opts, spec, why);
+    if (ops.conv_stats == nullptr) return reject("no conv implementation");
+    const auto stats =
+        ops.conv_stats(ToConvShape(l.conv), opts.density, opts.v, spec);
+    if (!stats) return reject("out_c not divisible by V");
+    return CostModel(spec).Seconds(*stats);
   }
-
-  LayerProblem p{l.gemm.m, l.gemm.n, l.gemm.k,
-                 format == Format::kDense ? 1.0 : opts.density, opts.v};
-  if (format == Format::kBalanced24) {
-    // The sparse tensor-core fixes density at exactly 0.5; selecting it
-    // at any other pruning budget would execute a different model.
-    if (std::abs(opts.density - 0.5) > 1e-9) {
-      if (why) *why = "2:4 fixes density at 0.5";
-      return std::nullopt;
-    }
-    p.density = 0.5;
-  }
-  const auto seconds = LayerSeconds(FormatKernelClass(format), p, spec);
-  if (!seconds && why) {
-    switch (format) {
-      case Format::kBsr:
-        *why = "m or k not divisible by V";
-        break;
-      case Format::kVectorWise:
-      case Format::kShflBw:
-        *why = "m not divisible by V";
-        break;
-      case Format::kBalanced24:
-        *why = spec.arch != GpuArch::kA100 ? "sparse tensor-core is A100-only"
-                                           : "k not divisible by 4";
-        break;
-      default:
-        *why = "stats model undefined";
-        break;
-    }
-  }
+  // A fixed-density format (2:4) selected at any other pruning budget
+  // would execute a different model than the one asked for.
+  if (!ops.HoldsDensity(opts.density)) return reject(ops.FixedDensityRule());
+  const double density = format == Format::kDense ? 1.0
+                          : ops.fixed_density > 0 ? ops.fixed_density
+                                                  : opts.density;
+  const auto seconds = LayerSeconds(
+      ops.kernel_class, {l.gemm.m, l.gemm.n, l.gemm.k, density, opts.v}, spec);
+  if (!seconds) return reject(ops.infeasible(spec));
   return seconds;
 }
 

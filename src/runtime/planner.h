@@ -160,9 +160,9 @@ struct ExecutionPlan {
 
 /// Cost-model seconds of `format` on layer `l`, or nullopt with the
 /// reason when the (format, layer, options) combination is undefined.
-/// Convolution layers are only executable dense, vector-wise or
-/// Shfl-BW ("the baselines all lack implementation for convolution",
-/// §6.2); 2:4 requires the A100 at density exactly 0.5.
+/// Feasibility comes from Ops(format): conv layers need its conv_stats
+/// (dense, vector-wise and Shfl-BW only, §6.2), GEMM layers its stats
+/// model and fixed density (2:4 requires the A100 at exactly 0.5).
 std::optional<double> ModeledLayerSeconds(const LayerDesc& l, Format format,
                                           const PlannerOptions& opts,
                                           std::string* why = nullptr);

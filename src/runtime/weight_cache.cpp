@@ -3,12 +3,8 @@
 #include <chrono>
 #include <vector>
 
-#include "common/check.h"
-#include "prune/balanced24_prune.h"
-#include "prune/block_wise.h"
-#include "prune/shfl_bw_search.h"
-#include "prune/unstructured.h"
-#include "prune/vector_wise_prune.h"
+#include "format/convert.h"
+#include "prune/importance.h"
 
 namespace shflbw {
 namespace runtime {
@@ -16,31 +12,11 @@ namespace runtime {
 PackedWeight PackWeight(Format format, const Matrix<float>& master,
                         double density, int v) {
   const auto t0 = std::chrono::steady_clock::now();
+  const FormatOps& ops = Ops(format);
+  const FormatMask m = ops.mask(MagnitudeScores(master), density, v);
   PackedWeight p;
   p.format = format;
-  switch (format) {
-    case Format::kDense:
-      // Kernels round operands through fp16 per call; rounding the
-      // master once here keeps the execution path conversion-free.
-      p.dense = RoundThroughFp16(master);
-      break;
-    case Format::kCsr:
-      p.csr = CsrMatrix::FromDense(PruneUnstructured(master, density));
-      break;
-    case Format::kBsr:
-      p.bsr = BsrMatrix::FromDense(PruneBlockWise(master, density, v), v);
-      break;
-    case Format::kBalanced24:
-      p.balanced24 = Balanced24Matrix::FromDense(PruneBalanced24(master));
-      break;
-    case Format::kVectorWise:
-      p.vw = VectorWiseMatrix::FromDense(PruneVectorWise(master, density, v),
-                                         v);
-      break;
-    case Format::kShflBw:
-      p.shflbw = PruneToShflBw(master, density, v);
-      break;
-  }
+  ops.pack(ApplyMask(master, m.mask), v, m.storage_to_original, p);
   const auto t1 = std::chrono::steady_clock::now();
   p.pack_seconds = std::chrono::duration<double>(t1 - t0).count();
   return p;

@@ -18,30 +18,11 @@
 
 #include "common/matrix.h"
 #include "common/thread_annotations.h"
-#include "format/balanced24.h"
-#include "format/bsr.h"
-#include "format/csr.h"
-#include "format/shfl_bw.h"
-#include "format/vector_wise.h"
 #include "runtime/fault_injection.h"
 #include "runtime/format.h"
 
 namespace shflbw {
 namespace runtime {
-
-/// A weight converted and pruned for one format. Only the member
-/// matching `format` is populated (dense additionally holds the
-/// fp16-rounded master for Format::kDense).
-struct PackedWeight {
-  Format format = Format::kDense;
-  Matrix<float> dense;
-  CsrMatrix csr;
-  BsrMatrix bsr;
-  Balanced24Matrix balanced24;
-  VectorWiseMatrix vw;
-  ShflBwMatrix shflbw;
-  double pack_seconds = 0;  // wall-clock spent pruning + converting
-};
 
 /// Pack-once cache keyed by (layer index, format, density, v).
 ///
@@ -59,7 +40,8 @@ class PackedWeightCache {
   /// Concurrent callers with the same key pack at most once; the
   /// conversion itself runs under the cache lock, so replicas warming
   /// the same model serialize through the pack phase and every later
-  /// lookup is a short locked map find.
+  /// lookup is a short locked map find. A PackWeight error propagates
+  /// and leaves no entry behind.
   const PackedWeight& GetOrPack(int layer, Format format,
                                 const Matrix<float>& master, double density,
                                 int v) SHFLBW_EXCLUDES(mu_);
@@ -126,9 +108,11 @@ class PackedWeightCache {
   std::shared_ptr<FaultInjector> injector_ SHFLBW_GUARDED_BY(mu_);
 };
 
-/// Prunes `master` to `format` at (density, v) and converts the result
-/// into the packed representation. Deterministic (the Shfl-BW search
-/// seed is fixed).
+/// Prunes `master` to `format` at (density, v) by magnitude and
+/// converts the result into the packed representation, both through
+/// Ops(format). Deterministic (the Shfl-BW search seed is fixed).
+/// Throws shflbw::Error on a density the format cannot hold (2:4 at
+/// anything but 0.5) or a shape V does not divide.
 PackedWeight PackWeight(Format format, const Matrix<float>& master,
                         double density, int v);
 

@@ -14,13 +14,13 @@ const GpuSpec& V100() { return GetGpuSpec(GpuArch::kV100); }
 const GpuSpec& T4() { return GetGpuSpec(GpuArch::kT4); }
 const GpuSpec& A100() { return GetGpuSpec(GpuArch::kA100); }
 
-TEST(Evaluator, PatternToKernelClassMapping) {
-  EXPECT_EQ(PatternKernelClass(SparsePattern::kShflBw),
+TEST(Evaluator, FormatToKernelClassMapping) {
+  using runtime::Format;
+  using runtime::Ops;
+  EXPECT_EQ(Ops(Format::kShflBw).kernel_class,
             KernelClass::kShflBwTensorCore);
-  EXPECT_EQ(PatternKernelClass(SparsePattern::kUnstructured),
-            KernelClass::kSputnik);
-  EXPECT_EQ(PatternKernelClass(SparsePattern::kDense),
-            KernelClass::kDenseTensorCore);
+  EXPECT_EQ(Ops(Format::kCsr).kernel_class, KernelClass::kSputnik);
+  EXPECT_EQ(Ops(Format::kDense).kernel_class, KernelClass::kDenseTensorCore);
 }
 
 TEST(Evaluator, TransformerShflBwSpeedupHeadline) {
@@ -139,14 +139,13 @@ TEST(Evaluator, QualityOrderingAcrossPatterns) {
     opt.seed = 400 + i;
     weights.push_back(SynthesizeWeights(128, 128, opt));
   }
-  PruneOptions opts;
-  opts.v = 32;
-  const QualityResult shflbw = EvaluateQuality(
-      weights, SparsePattern::kShflBw, 0.2, opts, 27.5, 3.0);
-  const QualityResult vw = EvaluateQuality(
-      weights, SparsePattern::kVectorWise, 0.2, opts, 27.5, 3.0);
-  const QualityResult bw = EvaluateQuality(
-      weights, SparsePattern::kBlockWise, 0.2, opts, 27.5, 3.0);
+  using runtime::Format;
+  const QualityResult shflbw =
+      EvaluateQuality(weights, Format::kShflBw, 0.2, 32, 27.5, 3.0);
+  const QualityResult vw =
+      EvaluateQuality(weights, Format::kVectorWise, 0.2, 32, 27.5, 3.0);
+  const QualityResult bw =
+      EvaluateQuality(weights, Format::kBsr, 0.2, 32, 27.5, 3.0);
   EXPECT_GT(shflbw.retained_ratio, vw.retained_ratio);
   EXPECT_GT(vw.retained_ratio, bw.retained_ratio);
   EXPECT_GT(shflbw.proxy_score, bw.proxy_score);

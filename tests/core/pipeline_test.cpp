@@ -9,47 +9,30 @@
 namespace shflbw {
 namespace {
 
-TEST(Pattern, NamesRoundTrip) {
-  for (SparsePattern p :
-       {SparsePattern::kDense, SparsePattern::kUnstructured,
-        SparsePattern::kBlockWise, SparsePattern::kVectorWise,
-        SparsePattern::kShflBw, SparsePattern::kBalanced24}) {
-    EXPECT_EQ(ParseSparsePattern(SparsePatternName(p)), p);
-  }
-  EXPECT_EQ(ParseSparsePattern("VW"), SparsePattern::kVectorWise);
-  EXPECT_EQ(ParseSparsePattern("ShflBW"), SparsePattern::kShflBw);
-  EXPECT_THROW(ParseSparsePattern("nonsense"), Error);
-}
+using runtime::Format;
 
 TEST(Pipeline, DensePatternIsAllOnes) {
   Rng rng(373);
   const Matrix<float> w = rng.NormalMatrix(8, 8);
-  const PruneResult r = PruneWithPattern(w, SparsePattern::kDense, 1.0);
+  const PruneResult r = PruneWithPattern(w, Format::kDense, 1.0, 32);
   EXPECT_EQ(CountNonZeros(r.mask), 64u);
   EXPECT_EQ(r.pruned_weights, w);
-  EXPECT_FALSE(r.storage_to_original.has_value());
+  EXPECT_TRUE(r.storage_to_original.empty());
 }
 
 TEST(Pipeline, ShflBwCarriesPermutation) {
   Rng rng(379);
   const Matrix<float> w = rng.NormalMatrix(32, 32);
-  PruneOptions opts;
-  opts.v = 8;
-  const PruneResult r =
-      PruneWithPattern(w, SparsePattern::kShflBw, 0.25, opts);
-  ASSERT_TRUE(r.storage_to_original.has_value());
-  EXPECT_EQ(r.storage_to_original->size(), 32u);
+  const PruneResult r = PruneWithPattern(w, Format::kShflBw, 0.25, 8);
+  EXPECT_EQ(r.storage_to_original.size(), 32u);
 }
 
 TEST(Pipeline, PrunedWeightsEqualMaskTimesWeights) {
   Rng rng(383);
   const Matrix<float> w = rng.NormalMatrix(32, 32);
-  PruneOptions opts;
-  opts.v = 8;
-  for (SparsePattern p :
-       {SparsePattern::kUnstructured, SparsePattern::kBlockWise,
-        SparsePattern::kVectorWise, SparsePattern::kShflBw}) {
-    const PruneResult r = PruneWithPattern(w, p, 0.25, opts);
+  for (Format f : {Format::kCsr, Format::kBsr, Format::kVectorWise,
+                   Format::kShflBw}) {
+    const PruneResult r = PruneWithPattern(w, f, 0.25, 8);
     for (std::size_t i = 0; i < w.size(); ++i) {
       EXPECT_EQ(r.pruned_weights.storage()[i],
                 w.storage()[i] * r.mask.storage()[i]);
@@ -60,22 +43,18 @@ TEST(Pipeline, PrunedWeightsEqualMaskTimesWeights) {
 TEST(Pipeline, Balanced24MaskSatisfiesConstraint) {
   Rng rng(389);
   const Matrix<float> w = rng.NormalMatrix(16, 32);
-  const PruneResult r =
-      PruneWithPattern(w, SparsePattern::kBalanced24, 0.5);
+  const PruneResult r = PruneWithPattern(w, Format::kBalanced24, 0.5, 32);
   EXPECT_TRUE(Satisfies24(r.pruned_weights));
-  EXPECT_THROW(PruneWithPattern(w, SparsePattern::kBalanced24, 0.3), Error);
+  EXPECT_THROW(PruneWithPattern(w, Format::kBalanced24, 0.3, 32), Error);
 }
 
 TEST(Pipeline, PatternMaskMatchesPruneWithPattern) {
   Rng rng(397);
   const Matrix<float> w = rng.NormalMatrix(32, 32);
-  PruneOptions opts;
-  opts.v = 8;
   const Matrix<float> scores = MagnitudeScores(w);
   const Matrix<float> mask =
-      PatternMask(scores, SparsePattern::kVectorWise, 0.25, opts);
-  const PruneResult r =
-      PruneWithPattern(w, SparsePattern::kVectorWise, 0.25, opts);
+      PatternMask(scores, Format::kVectorWise, 0.25, 8);
+  const PruneResult r = PruneWithPattern(w, Format::kVectorWise, 0.25, 8);
   EXPECT_EQ(mask, r.mask);
 }
 

@@ -7,6 +7,8 @@
 namespace shflbw {
 namespace {
 
+using runtime::Format;
+
 const GpuSpec& V100() { return GetGpuSpec(GpuArch::kV100); }
 
 ConvShape TinyShape() {
@@ -32,7 +34,7 @@ TEST(SparseConv2d, DenseModeMatchesConvKernel) {
   Rng rng(347);
   const Matrix<float> w = rng.NormalMatrix(s.out_c, s.GemmK());
   SparseConv2d::Options opt;
-  opt.pattern = SparsePattern::kDense;
+  opt.format = Format::kDense;
   const SparseConv2d conv(w, s, opt);
   const Tensor4 input = RandomInput(s, 349);
   EXPECT_EQ(conv.Forward(input), Conv2dDense(input, w, s, V100()).c);
@@ -43,7 +45,7 @@ TEST(SparseConv2d, ShflBwForwardMatchesDenseOnPrunedFilters) {
   Rng rng(353);
   const Matrix<float> w = rng.NormalMatrix(s.out_c, s.GemmK());
   SparseConv2d::Options opt;
-  opt.pattern = SparsePattern::kShflBw;
+  opt.format = Format::kShflBw;
   opt.density = 0.25;
   opt.v = 4;
   const SparseConv2d conv(w, s, opt);
@@ -56,14 +58,14 @@ TEST(SparseConv2d, RejectsUnsupportedPatterns) {
   const ConvShape s = TinyShape();
   Matrix<float> w(s.out_c, s.GemmK());
   SparseConv2d::Options opt;
-  opt.pattern = SparsePattern::kBlockWise;
+  opt.format = Format::kBsr;
   EXPECT_THROW(SparseConv2d(w, s, opt), Error);
 }
 
 TEST(SparseConv2d, RejectsMismatchedFilterShape) {
   const ConvShape s = TinyShape();
   SparseConv2d::Options opt;
-  opt.pattern = SparsePattern::kDense;
+  opt.format = Format::kDense;
   EXPECT_THROW(SparseConv2d(Matrix<float>(3, 3), s, opt), Error);
 }
 
@@ -78,7 +80,7 @@ TEST(SparseConv2d, ModelTimeAndSpeedup) {
   Rng rng(367);
   const Matrix<float> w = rng.NormalMatrix(s.out_c, s.GemmK());
   SparseConv2d::Options opt;
-  opt.pattern = SparsePattern::kShflBw;
+  opt.format = Format::kShflBw;
   opt.density = 0.25;
   opt.v = 32;
   const SparseConv2d conv(w, s, opt);

@@ -8,24 +8,26 @@
 namespace shflbw {
 namespace {
 
+using runtime::Format;
+
 const GpuSpec& V100() { return GetGpuSpec(GpuArch::kV100); }
 
-SparseLinear::Options Opt(SparsePattern p, double density, int v) {
+SparseLinear::Options Opt(Format f, double density, int v) {
   SparseLinear::Options o;
-  o.pattern = p;
+  o.format = f;
   o.density = density;
   o.v = v;
   return o;
 }
 
-class AllPatterns : public ::testing::TestWithParam<SparsePattern> {};
+class AllPatterns : public ::testing::TestWithParam<Format> {};
 
 TEST_P(AllPatterns, ForwardMatchesReferenceOnPrunedWeights) {
   Rng rng(283);
   const Matrix<float> w = rng.NormalMatrix(32, 32);
   const Matrix<float> x = rng.NormalMatrix(32, 12);
   const double density =
-      GetParam() == SparsePattern::kBalanced24 ? 0.5 : 0.25;
+      GetParam() == Format::kBalanced24 ? 0.5 : 0.25;
   const SparseLinear layer(w, Opt(GetParam(), density, 8));
   EXPECT_EQ(layer.Forward(x), GemmReference(layer.pruned_weights(), x));
 }
@@ -34,9 +36,9 @@ TEST_P(AllPatterns, AchievedDensityNearTarget) {
   Rng rng(293);
   const Matrix<float> w = rng.NormalMatrix(64, 64);
   const double density =
-      GetParam() == SparsePattern::kBalanced24 ? 0.5 : 0.25;
+      GetParam() == Format::kBalanced24 ? 0.5 : 0.25;
   const SparseLinear layer(w, Opt(GetParam(), density, 16));
-  if (GetParam() == SparsePattern::kDense) {
+  if (GetParam() == Format::kDense) {
     EXPECT_DOUBLE_EQ(layer.AchievedDensity(), 1.0);
   } else {
     EXPECT_NEAR(layer.AchievedDensity(), density, 0.02);
@@ -45,14 +47,12 @@ TEST_P(AllPatterns, AchievedDensityNearTarget) {
 
 INSTANTIATE_TEST_SUITE_P(
     Patterns, AllPatterns,
-    ::testing::Values(SparsePattern::kDense, SparsePattern::kUnstructured,
-                      SparsePattern::kBlockWise, SparsePattern::kVectorWise,
-                      SparsePattern::kShflBw, SparsePattern::kBalanced24));
+    ::testing::ValuesIn(runtime::AllFormats()));
 
 TEST(SparseLinear, MaskedWeightsAreSubsetOfOriginal) {
   Rng rng(307);
   const Matrix<float> w = rng.NormalMatrix(32, 32);
-  const SparseLinear layer(w, Opt(SparsePattern::kShflBw, 0.25, 8));
+  const SparseLinear layer(w, Opt(Format::kShflBw, 0.25, 8));
   for (int r = 0; r < 32; ++r) {
     for (int c = 0; c < 32; ++c) {
       const float pv = layer.pruned_weights()(r, c);
@@ -64,7 +64,7 @@ TEST(SparseLinear, MaskedWeightsAreSubsetOfOriginal) {
 TEST(SparseLinear, ShflBwSpeedupOverDenseAt75PercentSparsity) {
   Rng rng(311);
   const Matrix<float> w = rng.NormalMatrix(2048, 2048);
-  const SparseLinear layer(w, Opt(SparsePattern::kShflBw, 0.25, 64));
+  const SparseLinear layer(w, Opt(Format::kShflBw, 0.25, 64));
   // Fig. 1 region C: tensor-core sparse beats tensor-core dense at
   // 75% sparsity.
   EXPECT_GT(layer.SpeedupOverDense(128, V100()), 1.0);
@@ -73,7 +73,7 @@ TEST(SparseLinear, ShflBwSpeedupOverDenseAt75PercentSparsity) {
 TEST(SparseLinear, UnstructuredSlowerThanDenseOnTensorCoreBaseline) {
   Rng rng(313);
   const Matrix<float> w = rng.NormalMatrix(2048, 2048);
-  const SparseLinear layer(w, Opt(SparsePattern::kUnstructured, 0.25, 64));
+  const SparseLinear layer(w, Opt(Format::kCsr, 0.25, 64));
   // §6.2: unstructured cannot exceed the TC dense baseline even at
   // high sparsity (here 75%).
   EXPECT_LT(layer.SpeedupOverDense(128, V100()), 1.0);
@@ -82,7 +82,7 @@ TEST(SparseLinear, UnstructuredSlowerThanDenseOnTensorCoreBaseline) {
 TEST(SparseLinear, StatsConsistentWithModelTime) {
   Rng rng(317);
   const Matrix<float> w = rng.NormalMatrix(256, 256);
-  const SparseLinear layer(w, Opt(SparsePattern::kShflBw, 0.25, 32));
+  const SparseLinear layer(w, Opt(Format::kShflBw, 0.25, 32));
   const KernelStats s = layer.Stats(64, V100());
   const TimeBreakdown t = layer.ModelTime(64, V100());
   EXPECT_DOUBLE_EQ(CostModel(V100()).Estimate(s).total_s, t.total_s);
@@ -92,14 +92,14 @@ TEST(SparseLinear, StatsConsistentWithModelTime) {
 TEST(SparseLinear, Balanced24RequiresHalfDensity) {
   Rng rng(331);
   const Matrix<float> w = rng.NormalMatrix(16, 16);
-  EXPECT_THROW(SparseLinear(w, Opt(SparsePattern::kBalanced24, 0.25, 8)),
+  EXPECT_THROW(SparseLinear(w, Opt(Format::kBalanced24, 0.25, 8)),
                Error);
 }
 
 TEST(SparseLinear, DensePatternKeepsAllWeights) {
   Rng rng(337);
   const Matrix<float> w = rng.NormalMatrix(16, 16);
-  const SparseLinear layer(w, Opt(SparsePattern::kDense, 1.0, 8));
+  const SparseLinear layer(w, Opt(Format::kDense, 1.0, 8));
   EXPECT_EQ(layer.pruned_weights(), w);
 }
 

@@ -12,7 +12,7 @@ const GpuSpec& V100() { return GetGpuSpec(GpuArch::kV100); }
 
 SparseLinear::Options ShflBwOpt(double density, int v) {
   SparseLinear::Options o;
-  o.pattern = SparsePattern::kShflBw;
+  o.format = runtime::Format::kShflBw;
   o.density = density;
   o.v = v;
   return o;
@@ -84,7 +84,7 @@ TEST(SparseModel, MixedPatternsPerLayer) {
   Rng rng(739);
   SparseModel model;
   SparseLinear::Options dense_opt;
-  dense_opt.pattern = SparsePattern::kDense;
+  dense_opt.format = runtime::Format::kDense;
   dense_opt.density = 1.0;
   model.AddLayer("embed", rng.NormalMatrix(64, 32), dense_opt);
   model.AddLayer("fc", rng.NormalMatrix(32, 64), ShflBwOpt(0.5, 8),

@@ -4,6 +4,8 @@
 // per-layer (format, density, V) choices — dense fallback included —
 // deterministically, with the engine packing each layer at its own
 // plan density and staying bit-identical at any thread count.
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
@@ -101,6 +103,24 @@ TEST(QualityEvaluator, MemoizesPerKeyAndSharesScores) {
   // New seed: new master.
   eval.RetainedRatio(64, 64, 8, Format::kVectorWise, 0.25, 8);
   EXPECT_EQ(eval.ScoreMatrices(), 2u);
+}
+
+// 2:4 holds exactly density 0.5: scoring it at 0.25 used to return the
+// 0.5 ratio under the 0.25 key. The table's 2:4 entry now rejects it by
+// name, and nothing is memoized.
+TEST(QualityEvaluator, Balanced24RejectsOtherDensities) {
+  QualityEvaluator eval;
+  try {
+    (void)eval.RetainedRatio(64, 64, 1, Format::kBalanced24, 0.25, 8);
+    ADD_FAILURE() << "2:4 at density 0.25 did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("2:4 fixes density at 0.5, got 0.25"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(eval.Evaluations(), 0u);
+  (void)eval.RetainedRatio(64, 64, 1, Format::kBalanced24, 0.5, 8);
+  EXPECT_EQ(eval.Evaluations(), 1u);
 }
 
 TEST(QualityEvaluator, RejectsBadArguments) {

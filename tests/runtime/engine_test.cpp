@@ -104,6 +104,23 @@ TEST(Engine, ForcedDenseMatchesPlan) {
   }
 }
 
+// An adopted plan comes from the caller: a conv layer on a format with
+// no conv kernel (§6.2) must be refused by name before any launch.
+TEST(Engine, AdoptPlanRejectsConvLayerOnFormatWithoutConvKernel) {
+  const ModelDesc model = ModelDesc::ResNet50(ResNet50Config{1, 32});
+  ExecutionPlan plan = PlanModel(model, SmallOptions().planner);
+  plan.layers.front().format = Format::kCsr;
+  Engine engine(model, SmallOptions());
+  try {
+    engine.AdoptPlan(plan);
+    ADD_FAILURE() << "conv layer on csr was adopted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("has no conv kernel"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Engine, AutotunePacksAtPlanTimeAndKeepsRunsCacheOnly) {
   EngineOptions opts = SmallOptions();
   opts.planner.autotune = true;

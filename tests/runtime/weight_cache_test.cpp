@@ -1,20 +1,75 @@
 // PackedWeightCache contract: pack exactly once per (layer, format,
 // density, v), every packed representation expands back to the pruned
-// weight it stores, and the cache survives concurrent GetOrPack from
-// many threads (the BatchServer shares one cache across replicas).
+// weight it stores — whose mask is the one the quality planner scored —
+// and the cache survives concurrent GetOrPack from many threads (the
+// BatchServer shares one cache across replicas).
+#include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "format/convert.h"
+#include "model/weight_synth.h"
+#include "prune/balanced24_prune.h"
+#include "prune/block_wise.h"
+#include "prune/importance.h"
+#include "prune/shfl_bw_search.h"
 #include "prune/unstructured.h"
 #include "prune/vector_wise_prune.h"
+#include "quality/quality_evaluator.h"
 #include "runtime/weight_cache.h"
 
 namespace shflbw {
 namespace runtime {
 namespace {
+
+/// The density a test packs `f` at: its fixed density (2:4), else 0.25.
+double TestDensity(Format f) {
+  return Ops(f).fixed_density > 0 ? Ops(f).fixed_density : 0.25;
+}
+
+/// A packed weight expanded back to dense, original row order.
+Matrix<float> Unpack(const PackedWeight& p) {
+  switch (p.format) {
+    case Format::kDense: return p.dense;
+    case Format::kCsr: return p.csr.ToDense();
+    case Format::kBsr: return p.bsr.ToDense();
+    case Format::kBalanced24: return p.balanced24.ToDense();
+    case Format::kVectorWise: return p.vw.ToDense();
+    case Format::kShflBw: return p.shflbw.ToDense();
+  }
+  throw Error("unknown Format");
+}
+
+/// What the format's pruner in src/prune/ keeps of `master` (dense:
+/// the fp16-rounded master the kernels would see anyway).
+Matrix<float> ReferencePrune(Format f, const Matrix<float>& master,
+                             double density, int v) {
+  switch (f) {
+    case Format::kDense: return RoundThroughFp16(master);
+    case Format::kCsr: return PruneUnstructured(master, density);
+    case Format::kBsr: return PruneBlockWise(master, density, v);
+    case Format::kBalanced24: return PruneBalanced24(master);
+    case Format::kVectorWise: return PruneVectorWise(master, density, v);
+    case Format::kShflBw: return PruneToShflBw(master, density, v).ToDense();
+  }
+  throw Error("unknown Format");
+}
+
+/// `call` must throw the 2:4 entry's named fixed-density error.
+void ExpectFixedDensityError(const std::function<void()>& call) {
+  try {
+    call();
+    ADD_FAILURE() << "2:4 at density 0.25 did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("2:4 fixes density at 0.5, got 0.25"),
+              std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(PackedWeightCache, PacksOncePerKey) {
   Rng rng(7);
@@ -122,31 +177,64 @@ TEST(PackedWeightCache, ConcurrentGetOrPackPacksOncePerKey) {
             PruneUnstructured(master, 0.25));
 }
 
+// Each format's packed representation expands back to exactly what
+// that format's pruner in src/prune/ keeps of the master.
 TEST(PackWeight, RepresentationsMatchTheirPrunes) {
   Rng rng(11);
   const Matrix<float> master = rng.NormalMatrix(32, 32);
-  const double density = 0.25;
   const int v = 8;
-
-  EXPECT_EQ(PackWeight(Format::kDense, master, density, v).dense,
-            RoundThroughFp16(master));
-  EXPECT_EQ(PackWeight(Format::kCsr, master, density, v).csr.ToDense(),
-            PruneUnstructured(master, density));
-  EXPECT_EQ(PackWeight(Format::kVectorWise, master, density, v).vw.ToDense(),
-            PruneVectorWise(master, density, v));
-  // Shfl-BW: the packed matrix must expand to a mask-consistent subset
-  // of the master in original row order.
-  const ShflBwMatrix shfl =
-      PackWeight(Format::kShflBw, master, density, v).shflbw;
-  const Matrix<float> dense = shfl.ToDense();
-  ASSERT_EQ(dense.rows(), master.rows());
-  for (int r = 0; r < dense.rows(); ++r) {
-    for (int c = 0; c < dense.cols(); ++c) {
-      if (dense(r, c) != 0.0f) {
-        EXPECT_EQ(dense(r, c), master(r, c));
-      }
-    }
+  for (Format f : AllFormats()) {
+    const double density = TestDensity(f);
+    EXPECT_EQ(Unpack(PackWeight(f, master, density, v)),
+              ReferencePrune(f, master, density, v))
+        << FormatName(f);
   }
+}
+
+// The mask the planner scores is the mask the engine packs: for every
+// sparse format, the kept set of the packed weight retains exactly the
+// ratio the QualityEvaluator reports on the same synthesized master.
+TEST(PackWeight, PackedMaskIsThePlannedMask) {
+  const int m = 64, k = 64, v = 8;
+  const std::uint64_t seed = 29;
+  SynthWeightOptions synth;
+  synth.seed = seed;
+  const Matrix<float> master = SynthesizeWeights(m, k, synth);
+  const Matrix<float> scores = MagnitudeScores(master);
+  quality::QualityEvaluator evaluator;
+  for (Format f : AllFormats()) {
+    if (f == Format::kDense) continue;
+    const double density = TestDensity(f);
+    const Matrix<float> kept =
+        ExtractMask(Unpack(PackWeight(f, master, density, v)));
+    EXPECT_DOUBLE_EQ(RetainedScoreRatio(scores, kept),
+                     evaluator.RetainedRatio(m, k, seed, f, density, v))
+        << FormatName(f);
+  }
+}
+
+// 2:4 keeps two of every four weights, whatever density is asked for.
+// Packing it under a 0.25 key used to store the 0.5 mask as a second,
+// mislabelled entry; the table's 2:4 entry now rejects it by name.
+TEST(PackWeight, Balanced24RejectsOtherDensities) {
+  Rng rng(19);
+  const Matrix<float> master = rng.NormalMatrix(32, 32);
+  ExpectFixedDensityError(
+      [&] { (void)PackWeight(Format::kBalanced24, master, 0.25, 8); });
+  EXPECT_NO_THROW((void)PackWeight(Format::kBalanced24, master, 0.5, 8));
+}
+
+TEST(PackedWeightCache, Balanced24RejectsOtherDensitiesAndCachesNothing) {
+  Rng rng(19);
+  const Matrix<float> master = rng.NormalMatrix(32, 32);
+  PackedWeightCache cache;
+  ExpectFixedDensityError(
+      [&] { (void)cache.GetOrPack(0, Format::kBalanced24, master, 0.25, 8); });
+  EXPECT_EQ(cache.TotalPacks(), 0u);
+  EXPECT_EQ(cache.Size(), 0u);
+  EXPECT_FALSE(cache.Contains(0, Format::kBalanced24, 0.25, 8));
+  (void)cache.GetOrPack(0, Format::kBalanced24, master, 0.5, 8);
+  EXPECT_EQ(cache.TotalPacks(), 1u);
 }
 
 TEST(PackWeight, DeterministicAcrossCalls) {
