@@ -14,6 +14,12 @@
 #include <cstdint>
 #include <iosfwd>
 
+// RoundToFp16 relies on IEEE float addition: fast-math lets the compiler
+// fold (x + 0.5f) - 0.5f to x, which silently breaks subnormal rounding.
+#if defined(__FAST_MATH__)
+#error "common/fp16.h requires IEEE float semantics: build without -ffast-math"
+#endif
+
 namespace shflbw {
 
 namespace detail {
@@ -130,8 +136,36 @@ inline void EncodeRows(const float* src, Fp16* dst, std::size_t n) {
 }
 
 /// The value a tensor-core fragment load observes for a float operand:
-/// rounded to fp16, then widened exactly.
-inline float RoundToFp16(float f) { return Fp16(f).ToFloat(); }
+/// rounded to fp16, then widened exactly. Returns exactly the bits of
+/// Fp16(f).ToFloat() for every float, NaNs included (an exhaustive test
+/// proves it), without leaving float registers:
+///   - normal range: round-to-nearest-even at mantissa bit 13, one
+///     integer add (a carry into the exponent is the correct result);
+///   - |f| < 2^-14 (fp16 subnormal): adding 0.5f puts the value where the
+///     float ulp is 2^-24, the fp16 subnormal step, so the hardware add
+///     rounds it to nearest even and subtracting 0.5f is exact;
+///   - |f| >= 65520: +-inf;  NaN: sign | quiet NaN (0x7FC00000).
+/// Every case is computed and the result chosen with all-ones masks, not
+/// branches or ?:, so loops over it contain no control flow and the
+/// compiler vectorizes them (RoundRows and the kernels' write-backs).
+inline float RoundToFp16(float f) {
+  const std::uint32_t x = std::bit_cast<std::uint32_t>(f);
+  const std::uint32_t sign = x & 0x80000000u;
+  const std::uint32_t a = x & 0x7FFFFFFFu;
+  const std::uint32_t normal = (a + 0x0FFFu + ((a >> 13) & 1u)) & ~0x1FFFu;
+  const std::uint32_t subnormal =
+      std::bit_cast<std::uint32_t>((std::bit_cast<float>(a) + 0.5f) - 0.5f);
+  // a has its sign bit clear, so signed compares order it correctly and
+  // map to single SIMD compares; -(bool) is the all-ones mask.
+  const std::int32_t sa = static_cast<std::int32_t>(a);
+  const std::uint32_t is_subnormal = 0u - std::uint32_t{sa < 0x38800000};
+  const std::uint32_t is_inf = 0u - std::uint32_t{sa >= 0x477FF000};
+  const std::uint32_t is_nan = 0u - std::uint32_t{sa > 0x7F800000};
+  std::uint32_t r = (normal & ~is_subnormal) | (subnormal & is_subnormal);
+  r = (r & ~is_inf) | (0x7F800000u & is_inf);
+  r |= 0x7FC00000u & is_nan;
+  return std::bit_cast<float>(sign | r);
+}
 
 /// Batch fused round-trip (EncodeRows + DecodeRows without the staging
 /// array): fp16-rounds n floats in place of the fragment load.

@@ -65,12 +65,4 @@ CsrMatrix VectorWiseToCsr(const VectorWiseMatrix& vw) {
   return CsrMatrix::FromDense(vw.ToDense());
 }
 
-Matrix<float> QuantizeFp16(const Matrix<float>& dense) {
-  Matrix<float> out(dense.rows(), dense.cols());
-  for (std::size_t i = 0; i < dense.size(); ++i) {
-    out.storage()[i] = Fp16(dense.storage()[i]).ToFloat();
-  }
-  return out;
-}
-
 }  // namespace shflbw

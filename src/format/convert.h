@@ -30,7 +30,4 @@ BsrMatrix ShflBwToBlockWise(const ShflBwMatrix& m);
 /// Converts vector-wise to CSR (exact non-zeros; padding dropped).
 CsrMatrix VectorWiseToCsr(const VectorWiseMatrix& vw);
 
-/// Round-trips a dense matrix through fp16 (what a GPU kernel sees).
-Matrix<float> QuantizeFp16(const Matrix<float>& dense);
-
 }  // namespace shflbw

@@ -1,5 +1,7 @@
 #include "format/serialize.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <istream>
@@ -39,13 +41,24 @@ void WriteVec(std::ostream& os, const std::vector<T>& v) {
            static_cast<std::streamsize>(v.size() * sizeof(T)));
 }
 
+/// Reads a count-prefixed array in chunks of at most 1 MiB, growing the
+/// vector only as the bytes arrive. A corrupt count therefore fails the
+/// truncation check after touching at most one chunk past the bytes
+/// actually present, instead of first allocating and zero-filling up to
+/// 16 GiB (2^32 elements).
 template <typename T>
 std::vector<T> ReadVec(std::istream& is) {
+  constexpr std::size_t kChunk = (std::size_t{1} << 20) / sizeof(T);
   const std::uint32_t n = ReadU32(is);
-  std::vector<T> v(n);
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(n * sizeof(T)));
-  SHFLBW_CHECK_MSG(is.good(), "truncated stream reading array of " << n);
+  std::vector<T> v;
+  while (v.size() < n) {
+    const std::size_t done = v.size();
+    const std::size_t take = std::min<std::size_t>(kChunk, n - done);
+    v.resize(done + take);
+    is.read(reinterpret_cast<char*>(v.data() + done),
+            static_cast<std::streamsize>(take * sizeof(T)));
+    SHFLBW_CHECK_MSG(is.good(), "truncated stream reading array of " << n);
+  }
   return v;
 }
 

@@ -41,7 +41,7 @@ void NormalizeRow(const Matrix<float>& x, const LayerNormParams& p, int row,
         (in[f] - static_cast<float>(mean)) * inv_std * p.gamma[f] +
         p.beta[f];
     // Output rounds through fp16, as the downstream kernel operand.
-    emit(f, Fp16(norm).ToFloat());
+    emit(f, RoundToFp16(norm));
   }
   SHFLBW_HOT_END;
 }

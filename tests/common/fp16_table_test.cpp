@@ -1,13 +1,19 @@
-// Exhaustive proof that the fp16 decode-table fast path is bit-for-bit
-// identical to the arithmetic reference decoder over every one of the
-// 65536 bit patterns — including subnormals, +-0, +-inf and every NaN
-// payload (compared as bit patterns, since NaN != NaN as floats).
+// Exhaustive proofs, compared as bit patterns (NaN != NaN as floats):
+// the fp16 decode-table fast path is bit-for-bit identical to the
+// arithmetic reference decoder over every one of the 65536 fp16 patterns,
+// and the branch-free float rounding RoundToFp16 / RoundRows matches the
+// encode/decode round trip over every one of the 2^32 float patterns —
+// including subnormals, +-0, +-inf and every NaN payload.
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/fp16.h"
+#include "common/thread_pool.h"
 
 namespace shflbw {
 namespace {
@@ -57,15 +63,51 @@ TEST(Fp16Table, BatchHelpersRoundTripEveryFinitePattern) {
 }
 
 TEST(Fp16Table, RoundRowsMatchesScalarRoundTrip) {
-  const float vals[] = {0.0f,    -0.0f,  1.0f,     65504.0f, 65520.0f,
-                        1e-8f,   -3.25f, 0.333f,   1e10f,    -1e-30f,
-                        2048.5f, 0.1f,   -65504.f, 5.9604645e-8f};
-  constexpr std::size_t n = sizeof(vals) / sizeof(vals[0]);
-  float out[n];
-  RoundRows(vals, out, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(BitsOf(out[i]), BitsOf(Fp16(vals[i]).ToFloat())) << "i=" << i;
-  }
+  // Every one of the 2^32 float bit patterns, NaN payloads included:
+  // RoundRows and scalar RoundToFp16 must both return exactly the bits of
+  // the encode/decode round trip Fp16(f).ToFloat(). The chunk length is
+  // not a multiple of any vector width, so every RoundRows call runs both
+  // its vectorized body and its scalar tail.
+  constexpr std::uint64_t kPatterns = std::uint64_t{1} << 32;
+  constexpr std::uint64_t kChunk = 4099;
+  constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  std::atomic<std::uint64_t> mismatches{0};
+  std::atomic<std::uint64_t> first_bad{kNone};
+  ParallelFor(0, static_cast<std::int64_t>((kPatterns + kChunk - 1) / kChunk),
+              /*grain=*/64, [&](std::int64_t lo, std::int64_t hi) {
+                std::vector<float> in(kChunk), out(kChunk);
+                std::uint64_t bad = 0, first = kNone;
+                for (std::int64_t c = lo; c < hi; ++c) {
+                  const std::uint64_t base =
+                      static_cast<std::uint64_t>(c) * kChunk;
+                  const std::size_t n = static_cast<std::size_t>(
+                      std::min(kChunk, kPatterns - base));
+                  for (std::size_t i = 0; i < n; ++i) {
+                    in[i] = std::bit_cast<float>(
+                        static_cast<std::uint32_t>(base + i));
+                  }
+                  RoundRows(in.data(), out.data(), n);
+                  for (std::size_t i = 0; i < n; ++i) {
+                    const std::uint32_t want = BitsOf(Fp16(in[i]).ToFloat());
+                    if (BitsOf(out[i]) != want ||
+                        BitsOf(RoundToFp16(in[i])) != want) {
+                      ++bad;
+                      first = std::min(first, base + i);
+                    }
+                  }
+                }
+                mismatches += bad;
+                std::uint64_t seen = first_bad.load();
+                while (first < seen &&
+                       !first_bad.compare_exchange_weak(seen, first)) {
+                }
+              });
+  const float f =
+      std::bit_cast<float>(static_cast<std::uint32_t>(first_bad.load()));
+  EXPECT_EQ(mismatches.load(), 0u)
+      << "first mismatch: float bits=0x" << std::hex << BitsOf(f)
+      << " RoundToFp16=0x" << BitsOf(RoundToFp16(f))
+      << " reference=0x" << BitsOf(Fp16(f).ToFloat());
 }
 
 }  // namespace

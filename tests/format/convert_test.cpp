@@ -16,14 +16,6 @@ TEST(Convert, ExtractAndApplyMask) {
   EXPECT_EQ(ApplyMask(other, mask), Matrix<float>(2, 2, {10, 0, 0, 40}));
 }
 
-TEST(Convert, QuantizeFp16MatchesElementwise) {
-  Matrix<float> d(1, 3, {0.1f, 2049.0f, -1e-20f});
-  const Matrix<float> q = QuantizeFp16(d);
-  EXPECT_EQ(q(0, 0), Fp16(0.1f).ToFloat());
-  EXPECT_EQ(q(0, 1), 2048.0f);
-  EXPECT_EQ(q(0, 2), 0.0f);
-}
-
 TEST(Convert, VectorWiseToCsrPreservesValues) {
   Rng rng(53);
   const Matrix<float> d = rng.SparseMatrix(16, 16, 0.4);

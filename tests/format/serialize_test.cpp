@@ -1,6 +1,10 @@
 #include "format/serialize.h"
 
+#include <sys/resource.h>
+
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +17,13 @@
 
 namespace shflbw {
 namespace {
+
+/// Peak resident set size of this process so far, in KiB.
+long PeakRssKb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
 
 TEST(Serialize, CsrRoundTrip) {
   Rng rng(601);
@@ -97,6 +108,31 @@ TEST(Serialize, TruncatedStreamRejected) {
   const std::string full = ss.str();
   std::stringstream truncated(full.substr(0, full.size() / 2));
   EXPECT_THROW(DeserializeShflBw(truncated), Error);
+}
+
+// A corrupt array count must fail the truncation check, not first
+// allocate what the count claims: this 28-byte CSR stream claims
+// 0xFFFFFFF0 row_ptr entries (16 GiB) and holds one.
+TEST(Serialize, CorruptCountRejectedWithoutAllocatingIt) {
+  std::stringstream ss;
+  for (const std::uint32_t word :
+       {0x53464C42u, 1u, /*kind=csr*/ 1u, /*rows=*/4u, /*cols=*/4u,
+        /*row_ptr count=*/0xFFFFFFF0u, /*row_ptr[0]=*/0u}) {
+    ss.write(reinterpret_cast<const char*>(&word), sizeof(word));
+  }
+  ASSERT_EQ(ss.str().size(), 28u);
+  const long peak_kb_before = PeakRssKb();
+  try {
+    (void)DeserializeCsr(ss);
+    ADD_FAILURE() << "DeserializeCsr accepted a truncated stream";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "truncated stream reading array of 4294967280"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(PeakRssKb() - peak_kb_before, 64 * 1024)
+      << "peak RSS grew by more than 64 MB";
 }
 
 TEST(Serialize, FileHelpersRoundTrip) {
