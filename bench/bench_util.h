@@ -1,8 +1,8 @@
-// Shared formatting helpers for the table/figure reproduction binaries.
+// Shared helpers for the bench binaries: section banners and the
+// provenance block every BENCH_*.json carries.
 #pragma once
 
 #include <cstdio>
-#include <optional>
 #include <string>
 
 #include "common/build_info.h"
@@ -19,14 +19,6 @@ inline void Title(const std::string& t) {
 
 inline void Section(const std::string& t) {
   std::printf("\n--- %s ---\n", t.c_str());
-}
-
-/// Prints "  n/a" or a fixed-width speedup like " 2.31x".
-inline std::string Cell(const std::optional<double>& v) {
-  char buf[32];
-  if (!v) return "   n/a";
-  std::snprintf(buf, sizeof(buf), "%5.2fx", *v);
-  return buf;
 }
 
 /// Emits the `"provenance": {...},` member every BENCH_*.json carries

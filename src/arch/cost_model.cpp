@@ -116,7 +116,7 @@ Efficiency EfficiencyFor(KernelClass k, GpuArch arch) {
       case GpuArch::kCdna1:
       case GpuArch::kAmx:
         // Extension targets have no published library anchors; assume
-        // V100-maturity software (documented in EXPERIMENTS.md).
+        // V100-maturity software (docs/REPRODUCTION.md §4).
         return row.v100;
     }
   }

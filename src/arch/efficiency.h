@@ -5,7 +5,7 @@
 // behaviour (traffic volumes, operation intensity, crossovers, the
 // V100-vs-T4-vs-A100 ordering) is derived from first principles in the
 // kernel traffic models. Each constant notes the paper anchor it was fit
-// to; see DESIGN.md §3 and EXPERIMENTS.md for the resulting fidelity.
+// to; see docs/REPRODUCTION.md §1 and §5 for the resulting fidelity.
 #pragma once
 
 #include "arch/gpu_spec.h"

@@ -1,6 +1,6 @@
 // Published architectural parameters of the three GPUs the paper evaluates
 // on (V100, T4, A100). These feed the analytical performance model that
-// substitutes for real-hardware timing (see DESIGN.md §0).
+// substitutes for real-hardware timing (see docs/REPRODUCTION.md §1).
 #pragma once
 
 #include <string>
@@ -68,7 +68,7 @@ GpuArch ParseGpuArch(const std::string& name);
 const std::vector<GpuSpec>& AllGpus();
 
 /// The extension targets (CDNA, AMX) — not part of the paper's
-/// evaluation; used by bench/extension_accelerators.
+/// evaluation; used by bench_paper's §7 extension section.
 const std::vector<GpuSpec>& ExtensionAccelerators();
 
 }  // namespace shflbw

@@ -1,7 +1,7 @@
 // Model-level evaluation: the machinery behind the Fig. 2 / Fig. 6 /
 // Table 1 benches. Times whole models (sum of compute-intensive layers,
 // §6.1) under every kernel class, and scores pruned-model quality with
-// the retained-importance proxy (DESIGN.md §0).
+// the retained-importance proxy (docs/REPRODUCTION.md §2).
 #pragma once
 
 #include <optional>
@@ -69,8 +69,8 @@ struct QualityResult {
 /// fine-tuned unstructured models sit within a few tenths of dense);
 /// structured patterns are discounted by how much pattern-constrained
 /// selection loses versus free selection. `sensitivity` is calibrated
-/// per model (see EXPERIMENTS.md); pattern ORDERINGS are independent of
-/// it.
+/// per model (see docs/REPRODUCTION.md §2); pattern ORDERINGS are
+/// independent of it.
 double ProxyQuality(double dense_score, double relative_retention,
                     double sensitivity);
 

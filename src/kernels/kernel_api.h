@@ -1,7 +1,7 @@
 // Shared types for the functional GPU-kernel simulators.
 //
 // Every kernel in this directory does two things, exactly as described in
-// DESIGN.md §0:
+// docs/REPRODUCTION.md §1:
 //   1. *Functional execution*: computes the output matrix by performing
 //      the same algorithmic steps as the corresponding CUDA kernel
 //      (tile loads, in-buffer stitching, MMA-granularity accumulation,

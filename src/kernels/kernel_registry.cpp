@@ -78,26 +78,4 @@ std::optional<double> SpeedupOverDense(KernelClass klass,
   return *dense_s / *sparse_s;
 }
 
-std::optional<double> TotalSeconds(KernelClass klass,
-                                   const std::vector<LayerProblem>& layers,
-                                   const GpuSpec& spec) {
-  double total = 0.0;
-  for (const LayerProblem& p : layers) {
-    const auto s = LayerSeconds(klass, p, spec);
-    if (!s) return std::nullopt;
-    total += *s;
-  }
-  return total;
-}
-
-const std::vector<KernelClass>& Fig6KernelClasses() {
-  static const std::vector<KernelClass> kOrder{
-      KernelClass::kCsrScalar,      KernelClass::kSputnik,
-      KernelClass::kVectorSparse,   KernelClass::kTilewise,
-      KernelClass::kBsrTensorCore,  KernelClass::kVectorWiseTensorCore,
-      KernelClass::kShflBwTensorCore, KernelClass::kBalanced24,
-  };
-  return kOrder;
-}
-
 }  // namespace shflbw

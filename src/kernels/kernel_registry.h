@@ -5,7 +5,6 @@
 #pragma once
 
 #include <optional>
-#include <vector>
 
 #include "arch/cost_model.h"
 #include "arch/gpu_spec.h"
@@ -37,14 +36,5 @@ std::optional<double> LayerSeconds(KernelClass klass, const LayerProblem& p,
 std::optional<double> SpeedupOverDense(KernelClass klass,
                                        const LayerProblem& p,
                                        const GpuSpec& spec);
-
-/// Sum of modelled times over a set of layers (a whole model's
-/// compute-intensive layers, as Fig. 6 reports).
-std::optional<double> TotalSeconds(KernelClass klass,
-                                   const std::vector<LayerProblem>& layers,
-                                   const GpuSpec& spec);
-
-/// All kernel classes evaluated in Fig. 6, in plot order.
-const std::vector<KernelClass>& Fig6KernelClasses();
 
 }  // namespace shflbw

@@ -1,6 +1,6 @@
 // Synthetic weight matrices with realistic structure — the stand-in for
 // trained Transformer/GNMT/ResNet50 weights in the Table 1 quality
-// experiments (see DESIGN.md §0).
+// experiments (see docs/REPRODUCTION.md §2).
 //
 // Real DNN weight matrices have (a) heavy-tailed magnitudes, (b) per-row
 // scale variation, and (c) *row clusters that share important columns*

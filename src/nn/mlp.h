@@ -1,6 +1,6 @@
 // A small MLP classifier — the trainable proxy model for the Table 1
-// quality experiments (see DESIGN.md §0: prune each pattern, fine-tune,
-// compare real accuracy).
+// quality experiments (see docs/REPRODUCTION.md §3: prune each pattern,
+// fine-tune, compare real accuracy).
 #pragma once
 
 #include <cstdint>

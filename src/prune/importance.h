@@ -13,7 +13,8 @@ Matrix<float> MagnitudeScores(const Matrix<float>& weights);
 Matrix<float> SquaredScores(const Matrix<float>& weights);
 
 /// Total score retained by a mask: sum(scores .* mask). The
-/// retained-score ratio is the Table 1 quality proxy (see DESIGN.md §0).
+/// retained-score ratio is the Table 1 quality proxy (see
+/// docs/REPRODUCTION.md §2).
 double RetainedScore(const Matrix<float>& scores, const Matrix<float>& mask);
 
 /// RetainedScore normalized by the total score (1.0 = nothing pruned).

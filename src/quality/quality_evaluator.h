@@ -5,8 +5,8 @@
 // weight (model/weight_synth.h — the same deterministic stand-in for a
 // trained checkpoint the engine packs), applies the format's mask from
 // the runtime::Ops table, and reports RetainedScoreRatio — the Table 1
-// quality proxy (DESIGN.md §0). PackWeight prunes through the same
-// table entry, so the ratio a plan reports is by construction the
+// quality proxy (docs/REPRODUCTION.md §2). PackWeight prunes through the
+// same table entry, so the ratio a plan reports is by construction the
 // ratio of the mask the engine will execute.
 //
 // Evaluations are memoized per (shape, seed, format, density, V), and

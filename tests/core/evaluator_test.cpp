@@ -67,7 +67,7 @@ TEST(Evaluator, UnstructuredBelowDenseAtModerateSparsity) {
   // Fig. 2 / Fig. 6: Sputnik sits below the TC dense baseline through
   // the accuracy-relevant sparsity range. At the 95% extreme the paper
   // still reports <1x; a linear compute model concedes a modest win
-  // there on large layers (see EXPERIMENTS.md deviations), so the bound
+  // there on large layers (see docs/REPRODUCTION.md §5), so the bound
   // is loose at that point.
   const auto layers = GnmtLayers();
   const auto counts = GnmtLayerCounts();

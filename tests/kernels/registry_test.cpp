@@ -12,8 +12,11 @@ const GpuSpec& A100() { return GetGpuSpec(GpuArch::kA100); }
 
 TEST(Registry, AllClassesProduceStatsOnFriendlyShape) {
   LayerProblem p{2048, 128, 2048, 0.5, 32};
-  for (KernelClass k : Fig6KernelClasses()) {
-    if (k == KernelClass::kBalanced24) continue;  // A100-only
+  for (KernelClass k :
+       {KernelClass::kCsrScalar, KernelClass::kSputnik,
+        KernelClass::kVectorSparse, KernelClass::kTilewise,
+        KernelClass::kBsrTensorCore, KernelClass::kVectorWiseTensorCore,
+        KernelClass::kShflBwTensorCore}) {
     EXPECT_TRUE(LayerStats(k, p, V100()).has_value())
         << KernelClassName(k);
   }
@@ -52,26 +55,6 @@ TEST(Registry, DenseSpeedupIsOne) {
   const auto s = SpeedupOverDense(KernelClass::kDenseTensorCore, p, V100());
   ASSERT_TRUE(s.has_value());
   EXPECT_NEAR(*s, 1.0, 1e-12);
-}
-
-TEST(Registry, TotalSecondsSumsLayers) {
-  std::vector<LayerProblem> layers{{1024, 128, 1024, 0.25, 32},
-                                   {2048, 128, 512, 0.25, 32}};
-  const auto total =
-      TotalSeconds(KernelClass::kShflBwTensorCore, layers, V100());
-  ASSERT_TRUE(total.has_value());
-  const auto a = LayerSeconds(KernelClass::kShflBwTensorCore, layers[0],
-                              V100());
-  const auto b = LayerSeconds(KernelClass::kShflBwTensorCore, layers[1],
-                              V100());
-  EXPECT_NEAR(*total, *a + *b, 1e-15);
-}
-
-TEST(Registry, TotalSecondsNulloptIfAnyLayerUnsupported) {
-  std::vector<LayerProblem> layers{{1024, 128, 1024, 0.25, 32},
-                                   {100, 128, 512, 0.25, 32}};
-  EXPECT_FALSE(TotalSeconds(KernelClass::kShflBwTensorCore, layers, V100())
-                   .has_value());
 }
 
 TEST(Registry, BadShapesThrow) {

@@ -29,11 +29,10 @@
 //                     rejection. Out-of-line definitions (Name spelled
 //                     Class::Name) are exempt: the attribute binds at
 //                     the in-class declaration.
-//   logging           std::cout / std::cerr / printf only in
-//                     src/common/logging.cpp (the one sanctioned sink),
-//                     and file output (ofstream / fopen / fwrite /
-//                     freopen) only in the sanctioned dump sinks
-//                     (logging, obs/trace, obs/statusz,
+//   logging           no console output (std::cout / std::cerr /
+//                     printf) in src/, and file output (ofstream /
+//                     fopen / fwrite / freopen) only in the sanctioned
+//                     dump sinks (obs/trace, obs/statusz,
 //                     obs/flight_recorder, format/serialize);
 //                     bench/, examples/ and tests/ are out of scope.
 //   bad-suppression   a malformed SHFLBW_LINT_ALLOW comment (missing

@@ -280,10 +280,6 @@ const std::map<std::string, const char*>& HotBanned() {
       {"ofstream", "I/O"},
       {"ifstream", "I/O"},
       {"fstream", "I/O"},
-      {"SHFLBW_LOG", "I/O (and allocates a stringstream)"},
-      {"SHFLBW_INFO", "I/O (and allocates a stringstream)"},
-      {"SHFLBW_WARN", "I/O (and allocates a stringstream)"},
-      {"SHFLBW_DEBUG", "I/O (and allocates a stringstream)"},
       // Throwing: unwinding out of a ParallelFor chunk aborts the whole
       // region; checks belong before the loop.
       {"throw", "throws"},
@@ -482,20 +478,19 @@ void CheckNodiscardStatus(const Pass& p) {
 // ---- rule: logging -----------------------------------------------------
 
 void CheckLogging(const Pass& p) {
-  // The sanctioned sink plus everything outside the library: benches,
-  // examples and tests print by design.
-  if (!InSrc(p.path) || p.path == "src/common/logging.cpp") return;
+  // Benches, examples and tests print by design; the library reports
+  // through return values, exceptions and the obs sinks.
+  if (!InSrc(p.path)) return;
   static const std::set<std::string> kStreams = {"cout", "cerr", "clog"};
   static const std::set<std::string> kCalls = {"printf", "fprintf", "puts",
                                                "fputs", "putchar"};
-  // File output is confined to the sanctioned dump sinks: the logger,
+  // File output is confined to the sanctioned dump sinks:
   // trace/statusz/flight-recorder dumps, and weight serialization.
   // Everything else in src/ opening or writing files is a smuggled
   // side channel the operator can't find, rotate, or turn off.
   static const std::set<std::string> kFileSinks = {
-      "src/common/logging.cpp",    "src/obs/trace.cpp",
-      "src/obs/statusz.cpp",       "src/obs/flight_recorder.cpp",
-      "src/format/serialize.cpp"};
+      "src/obs/trace.cpp", "src/obs/statusz.cpp",
+      "src/obs/flight_recorder.cpp", "src/format/serialize.cpp"};
   static const std::set<std::string> kFileWriters = {"ofstream", "fopen",
                                                      "fwrite", "freopen"};
   const bool file_sink = kFileSinks.count(p.path) > 0;
@@ -512,16 +507,16 @@ void CheckLogging(const Pass& p) {
         p.Report(t.line, kLogging,
                  "'" + t.text +
                      "' opens a file in library code; file output is "
-                     "confined to the sanctioned sinks (logging, trace, "
-                     "statusz, flight recorder, serialize)");
+                     "confined to the sanctioned sinks (trace, statusz, "
+                     "flight recorder, serialize)");
         continue;
       }
     }
     if (kStreams.count(t.text) && p.StdQualified(i)) {
       p.Report(t.line, kLogging,
                "std::" + t.text +
-                   " in library code; route through SHFLBW_LOG "
-                   "(common/logging.h) so level filtering applies");
+                   " in library code; report through a return value, an "
+                   "exception or the obs sinks");
       continue;
     }
     if (kCalls.count(t.text) && p.IsPunct(p.NextCode(i), '(')) {
@@ -531,8 +526,8 @@ void CheckLogging(const Pass& p) {
       if (!member) {
         p.Report(t.line, kLogging,
                  "'" + t.text +
-                     "' in library code; route through SHFLBW_LOG "
-                     "(common/logging.h) so level filtering applies");
+                     "' in library code; report through a return value, "
+                     "an exception or the obs sinks");
       }
     }
   }
