@@ -45,6 +45,12 @@ Matrix<float> VectorWiseMatrix::ToDense() const {
   return dense;
 }
 
+std::vector<int> VectorWiseMatrix::KeptPerGroup() const {
+  std::vector<int> kept(static_cast<std::size_t>(Groups()));
+  for (int g = 0; g < Groups(); ++g) kept[g] = KeptColumnsInGroup(g);
+  return kept;
+}
+
 double VectorWiseMatrix::PaddingFraction() const {
   if (values.empty()) return 0.0;
   std::size_t zeros = 0;

@@ -27,6 +27,9 @@ struct VectorWiseMatrix {
   int KeptColumnsInGroup(int g) const {
     return group_col_ptr[g + 1] - group_col_ptr[g];
   }
+  /// KeptColumnsInGroup for every group, in group order (the kept-vector
+  /// profile the VW-family stats model takes).
+  std::vector<int> KeptPerGroup() const;
   /// Stored-element density including padding zeros inside kept vectors.
   double StoredDensity() const {
     const double total = static_cast<double>(rows) * cols;

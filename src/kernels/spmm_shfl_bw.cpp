@@ -5,12 +5,6 @@
 namespace shflbw {
 namespace {
 
-std::vector<int> KeptPerGroup(const VectorWiseMatrix& vw) {
-  std::vector<int> kept(static_cast<std::size_t>(vw.Groups()));
-  for (int g = 0; g < vw.Groups(); ++g) kept[g] = vw.KeptColumnsInGroup(g);
-  return kept;
-}
-
 /// Evenly-spread kept-vector counts for a stats-only layer model: total
 /// kept vectors = alpha * (m/v groups) * k columns, rounded per group.
 std::vector<int> UniformKept(int m, int k, double alpha, int v) {
@@ -30,7 +24,7 @@ KernelResult SpmmShflBw(const ShflBwMatrix& a, const Matrix<float>& b,
   // Hot path lives in RunVwFamilyKernel's ExecuteVwTile (the SHFLBW_HOT
   // region in spmm_vector_wise.cpp); this wrapper only shapes operands.
   r.c = RunVwFamilyKernel(a.vw, a.storage_to_original, b, cfg, nullptr);
-  r.stats = VwFamilyStats(a.rows(), b.cols(), a.cols(), KeptPerGroup(a.vw),
+  r.stats = VwFamilyStats(a.rows(), b.cols(), a.cols(), a.vw.KeptPerGroup(),
                           a.v(), spec, cfg, KernelClass::kShflBwTensorCore,
                           /*extra_metadata_bytes=*/4.0 * a.rows());
   return r;
@@ -41,7 +35,7 @@ KernelResult SpmmShflBwTraced(const ShflBwMatrix& a, const Matrix<float>& b,
                               std::vector<PipelineEvent>& trace) {
   KernelResult r;
   r.c = RunVwFamilyKernel(a.vw, a.storage_to_original, b, cfg, &trace);
-  r.stats = VwFamilyStats(a.rows(), b.cols(), a.cols(), KeptPerGroup(a.vw),
+  r.stats = VwFamilyStats(a.rows(), b.cols(), a.cols(), a.vw.KeptPerGroup(),
                           a.v(), spec, cfg, KernelClass::kShflBwTensorCore,
                           /*extra_metadata_bytes=*/4.0 * a.rows());
   return r;

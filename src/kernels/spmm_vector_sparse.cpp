@@ -29,10 +29,8 @@ KernelResult SpmmVectorSparse(const VectorWiseMatrix& a,
   // Hot path lives in RunVwFamilyKernel's ExecuteVwTile (the SHFLBW_HOT
   // region in spmm_vector_wise.cpp).
   r.c = RunVwFamilyKernel(a, identity, b, cfg, nullptr);
-  std::vector<int> kept(static_cast<std::size_t>(a.Groups()));
-  for (int g = 0; g < a.Groups(); ++g) kept[g] = a.KeptColumnsInGroup(g);
-  r.stats = VwFamilyStats(a.rows, b.cols(), a.cols, kept, a.v, spec, cfg,
-                          KernelClass::kVectorSparse,
+  r.stats = VwFamilyStats(a.rows, b.cols(), a.cols, a.KeptPerGroup(), a.v,
+                          spec, cfg, KernelClass::kVectorSparse,
                           /*extra_metadata_bytes=*/0.0);
   return r;
 }

@@ -284,10 +284,8 @@ KernelResult SpmmVectorWise(const VectorWiseMatrix& a, const Matrix<float>& b,
   std::iota(identity.begin(), identity.end(), 0);
   KernelResult r;
   r.c = RunVwFamilyKernel(a, identity, b, cfg, nullptr);
-  std::vector<int> kept(static_cast<std::size_t>(a.Groups()));
-  for (int g = 0; g < a.Groups(); ++g) kept[g] = a.KeptColumnsInGroup(g);
-  r.stats = VwFamilyStats(a.rows, b.cols(), a.cols, kept, a.v, spec, cfg,
-                          KernelClass::kVectorWiseTensorCore,
+  r.stats = VwFamilyStats(a.rows, b.cols(), a.cols, a.KeptPerGroup(), a.v,
+                          spec, cfg, KernelClass::kVectorWiseTensorCore,
                           /*extra_metadata_bytes=*/0.0);
   return r;
 }

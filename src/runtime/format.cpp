@@ -21,12 +21,6 @@ namespace shflbw {
 namespace runtime {
 namespace {
 
-std::vector<int> KeptPerGroup(const VectorWiseMatrix& vw) {
-  std::vector<int> kept(static_cast<std::size_t>(vw.Groups()));
-  for (int g = 0; g < vw.Groups(); ++g) kept[g] = vw.KeptColumnsInGroup(g);
-  return kept;
-}
-
 const char* NoStatsLimit(const GpuSpec&) { return "stats model undefined"; }
 const char* VNotDividingM(const GpuSpec&) { return "m not divisible by V"; }
 
@@ -159,7 +153,7 @@ constexpr FormatOps kOps[] = {
           return SpmmVectorWise(w.vw, act, spec);
         },
         .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
-          return VwFamilyStats(w.vw.rows, n, w.vw.cols, KeptPerGroup(w.vw),
+          return VwFamilyStats(w.vw.rows, n, w.vw.cols, w.vw.KeptPerGroup(),
                                w.vw.v, spec, TileConfig{},
                                KernelClass::kVectorWiseTensorCore,
                                /*extra_metadata_bytes=*/0.0);
@@ -198,8 +192,8 @@ constexpr FormatOps kOps[] = {
         },
         .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
           const ShflBwMatrix& s = w.shflbw;
-          return VwFamilyStats(s.rows(), n, s.cols(), KeptPerGroup(s.vw), s.v(),
-                               spec, TileConfig{},
+          return VwFamilyStats(s.rows(), n, s.cols(), s.vw.KeptPerGroup(),
+                               s.v(), spec, TileConfig{},
                                KernelClass::kShflBwTensorCore,
                                /*extra_metadata_bytes=*/4.0 * s.rows());
         },

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -31,6 +32,14 @@ std::uint64_t AsCount(const obs::Counter* c) {
 void ValidateServerOptions(const ServerOptions& opts) {
   SHFLBW_CHECK_MSG(opts.replicas >= 1,
                    "server needs at least one replica, got " << opts.replicas);
+  // Each replica needs its own heartbeat slot (the watchdog and statusz
+  // see no replica without one), and flight events store the replica
+  // index in a signed byte.
+  SHFLBW_CHECK_MSG(opts.replicas <= obs::HeartbeatRegistry::kMaxSlots,
+                   "server supports at most "
+                       << obs::HeartbeatRegistry::kMaxSlots
+                       << " replicas (one heartbeat slot each), got "
+                       << opts.replicas);
   SHFLBW_CHECK_MSG(opts.queue_capacity >= 1,
                    "queue capacity must be >= 1, got " << opts.queue_capacity);
   SHFLBW_CHECK_MSG(opts.max_batch >= 1,
@@ -196,20 +205,18 @@ BatchServer::BatchServer(ModelDesc model, ServerOptions opts)
 
 void BatchServer::RegisterMetrics() {
   obs::Registry& reg = telemetry_->registry();
-  c_submitted_ = &reg.GetCounter("shflbw_requests_submitted_total",
-                                 "Requests admitted to the queue");
+  c_verdicts_ = {  // in SubmitStatus order
+      &reg.GetCounter("shflbw_requests_submitted_total",
+                      "Requests admitted to the queue"),
+      &reg.GetCounter("shflbw_requests_rejected_total{reason=\"queue_full\"}",
+                      "Requests rejected at admission"),
+      &reg.GetCounter("shflbw_requests_rejected_total{reason=\"deadline\"}"),
+      &reg.GetCounter("shflbw_requests_rejected_total{reason=\"shutdown\"}")};
   c_completed_ = &reg.GetCounter("shflbw_requests_completed_total",
                                  "Requests resolved by a launch (ok or "
                                  "error)");
   c_shed_ = &reg.GetCounter("shflbw_requests_shed_total",
                             "Deadline-expired requests dropped at seal");
-  c_rejected_queue_full_ =
-      &reg.GetCounter("shflbw_requests_rejected_total{reason=\"queue_full\"}",
-                      "Requests rejected at admission");
-  c_rejected_deadline_ =
-      &reg.GetCounter("shflbw_requests_rejected_total{reason=\"deadline\"}");
-  c_rejected_shutdown_ =
-      &reg.GetCounter("shflbw_requests_rejected_total{reason=\"shutdown\"}");
   c_retries_ = &reg.GetCounter("shflbw_launch_retries_total",
                                "Transient-fault retries across all batches");
   c_failed_ = &reg.GetCounter("shflbw_requests_failed_total",
@@ -287,86 +294,69 @@ void BatchServer::Warmup() {
   // zero conversions. Going through the scheduler (instead of touching
   // an engine from this thread) keeps the one-thread-per-engine
   // invariant even when Warmup is called while requests are in flight.
-  std::vector<std::future<Response>> futs;
-  futs.reserve(static_cast<std::size_t>(levels()));
+  std::vector<std::future<Response>> futs(static_cast<std::size_t>(levels()));
   for (int lvl = 0; lvl < levels(); ++lvl) {
-    futs.push_back(SubmitInternal(Request{opts_.engine.activation_seed}, lvl));
+    const SubmitStatus status =
+        Admit(Request{opts_.engine.activation_seed}, /*block=*/true, lvl,
+              &futs[static_cast<std::size_t>(lvl)]);
+    SHFLBW_CHECK_MSG(status == SubmitStatus::kAccepted,
+                     "BatchServer: warmup rejected ("
+                         << SubmitStatusName(status) << ")");
   }
   for (std::future<Response>& f : futs) (void)f.get();
 }
 
-std::future<Response> BatchServer::Enqueue(Request req, int force_level) {
-  Pending p;
-  p.req = req;
-  p.id = next_id_++;
-  p.submit_time = NowSeconds();
-  p.force_level = force_level;
-  std::future<Response> fut = p.promise.get_future();
-  const std::uint64_t id = p.id;
-  const double submit_time = p.submit_time;
-  queue_.push_back(std::move(p));
-  c_submitted_->Add();
-  g_queue_depth_->Set(static_cast<double>(queue_.size()));
-  obs::FlightEvent fe;
-  fe.kind = obs::FlightKind::kSubmit;
-  fe.t_seconds = submit_time;
-  fe.request_id = id;
-  fe.detail = static_cast<std::int32_t>(queue_.size());
-  telemetry_->flight().Record(fe);
-  return fut;
-}
-
-void BatchServer::TraceAdmission(double begin, std::uint64_t id,
-                                 SubmitStatus verdict) {
-  if (verdict != SubmitStatus::kAccepted) {
-    // Rejections go to the always-on flight ring (accepted submits are
-    // covered by Enqueue's kSubmit event).
-    obs::FlightEvent fe;
-    fe.kind = obs::FlightKind::kReject;
-    fe.t_seconds = NowSeconds();
-    fe.request_id = id;
-    fe.detail = static_cast<std::int32_t>(verdict);
-    fe.SetLabel(SubmitStatusName(verdict));
-    telemetry_->flight().Record(fe);
-  }
-  if (!telemetry_->tracing_on()) return;
-  obs::TraceEvent ev;
-  ev.kind = obs::SpanKind::kAdmission;
-  ev.begin_seconds = begin;
-  ev.end_seconds = NowSeconds();
-  ev.request_id = id;
-  ev.detail = static_cast<std::int32_t>(verdict);
-  ev.SetLabel(SubmitStatusName(verdict));
-  telemetry_->trace().Record(ev);
-}
-
-SubmitStatus BatchServer::Submit(Request req, std::future<Response>* out) {
+SubmitStatus BatchServer::Admit(Request req, bool block, int force_level,
+                                std::future<Response>* out) {
   const double begin = NowSeconds();
   UniqueLock lock(mu_);
+  // Warmup's requests are the server's own: standard QoS, no deadline,
+  // so they get the whole queue and always pass the deadline check.
   const std::size_t cap = admission_.CapacityFor(req.qos, opts_.queue_capacity);
-  not_full_.Wait(mu_, [&]() SHFLBW_REQUIRES(mu_) {
-    return stop_ || queue_.size() < cap;
-  });
+  if (block) {
+    not_full_.Wait(mu_, [&]() SHFLBW_REQUIRES(mu_) {
+      return stop_ || queue_.size() < cap;
+    });
+  }
+  SubmitStatus verdict = SubmitStatus::kAccepted;
   if (stop_) {
     // Includes producers that were blocked on a full queue when
     // Shutdown ran: they wake here with a typed rejection, never hang.
-    c_rejected_shutdown_->Add();
-    TraceAdmission(begin, obs::kNoId, SubmitStatus::kRejectedShutdown);
-    return SubmitStatus::kRejectedShutdown;
+    verdict = SubmitStatus::kRejectedShutdown;
+  } else if (queue_.size() >= cap) {
+    verdict = SubmitStatus::kRejectedQueueFull;
+  } else if (!admission_.DeadlineFeasible(req.qos, req.deadline_seconds,
+                                          queue_.size())) {
+    verdict = SubmitStatus::kRejectedInfeasibleDeadline;
   }
-  if (!admission_.DeadlineFeasible(req.qos, req.deadline_seconds,
-                                   queue_.size())) {
-    c_rejected_deadline_->Add();
-    TraceAdmission(begin, obs::kNoId,
-                   SubmitStatus::kRejectedInfeasibleDeadline);
-    return SubmitStatus::kRejectedInfeasibleDeadline;
+  Decision d;
+  d.event.t_seconds = NowSeconds();
+  d.span_begin = begin;
+  if (verdict != SubmitStatus::kAccepted) {
+    d.event.kind = obs::FlightKind::kReject;
+    d.event.detail = static_cast<std::int32_t>(verdict);
+    d.event.SetLabel(SubmitStatusName(verdict));
+    Record(d);
+    return verdict;
   }
-  *out = Enqueue(req, /*force_level=*/-1);
-  const std::uint64_t id = next_id_ - 1;
+  Pending p;
+  p.req = req;
+  p.id = next_id_++;
+  p.submit_time = d.event.t_seconds;
+  p.force_level = force_level;
+  *out = p.promise.get_future();
+  d.event.kind = obs::FlightKind::kSubmit;
+  d.event.request_id = p.id;
+  queue_.push_back(std::move(p));
+  d.event.detail = static_cast<std::int32_t>(queue_.size());
+  Record(d);
   lock.Unlock();
-  TraceAdmission(begin, id, SubmitStatus::kAccepted);
   not_empty_.NotifyOne();
   return SubmitStatus::kAccepted;
+}
+
+SubmitStatus BatchServer::Submit(Request req, std::future<Response>* out) {
+  return Admit(req, /*block=*/true, /*force_level=*/-1, out);
 }
 
 std::future<Response> BatchServer::Submit(Request req) {
@@ -379,50 +369,7 @@ std::future<Response> BatchServer::Submit(Request req) {
 }
 
 SubmitStatus BatchServer::TrySubmit(Request req, std::future<Response>* out) {
-  const double begin = NowSeconds();
-  std::uint64_t id = obs::kNoId;
-  {
-    MutexLock lock(mu_);
-    if (stop_) {
-      c_rejected_shutdown_->Add();
-      TraceAdmission(begin, obs::kNoId, SubmitStatus::kRejectedShutdown);
-      return SubmitStatus::kRejectedShutdown;
-    }
-    const std::size_t cap =
-        admission_.CapacityFor(req.qos, opts_.queue_capacity);
-    if (queue_.size() >= cap) {
-      c_rejected_queue_full_->Add();
-      TraceAdmission(begin, obs::kNoId, SubmitStatus::kRejectedQueueFull);
-      return SubmitStatus::kRejectedQueueFull;
-    }
-    if (!admission_.DeadlineFeasible(req.qos, req.deadline_seconds,
-                                     queue_.size())) {
-      c_rejected_deadline_->Add();
-      TraceAdmission(begin, obs::kNoId,
-                     SubmitStatus::kRejectedInfeasibleDeadline);
-      return SubmitStatus::kRejectedInfeasibleDeadline;
-    }
-    *out = Enqueue(req, /*force_level=*/-1);
-    id = next_id_ - 1;
-  }
-  TraceAdmission(begin, id, SubmitStatus::kAccepted);
-  not_empty_.NotifyOne();
-  return SubmitStatus::kAccepted;
-}
-
-std::future<Response> BatchServer::SubmitInternal(Request req,
-                                                  int force_level) {
-  // Warmup path: blocking, full queue share, no admission checks (the
-  // request is the server's own and carries no deadline).
-  UniqueLock lock(mu_);
-  not_full_.Wait(mu_, [&]() SHFLBW_REQUIRES(mu_) {
-    return stop_ || queue_.size() < opts_.queue_capacity;
-  });
-  SHFLBW_CHECK_MSG(!stop_, "BatchServer: warmup after shutdown");
-  std::future<Response> fut = Enqueue(req, force_level);
-  lock.Unlock();
-  not_empty_.NotifyOne();
-  return fut;
+  return Admit(req, /*block=*/false, /*force_level=*/-1, out);
 }
 
 void BatchServer::Drain() {
@@ -474,9 +421,12 @@ ServerStats BatchServer::Stats() const {
   s.submitted = next_id_;
   s.completed = completed_;
   s.shed = shed_;
-  s.rejected_queue_full = AsCount(c_rejected_queue_full_);
-  s.rejected_deadline = AsCount(c_rejected_deadline_);
-  s.rejected_shutdown = AsCount(c_rejected_shutdown_);
+  const auto rejected = [this](SubmitStatus v) {
+    return AsCount(c_verdicts_[static_cast<std::size_t>(v)]);
+  };
+  s.rejected_queue_full = rejected(SubmitStatus::kRejectedQueueFull);
+  s.rejected_deadline = rejected(SubmitStatus::kRejectedInfeasibleDeadline);
+  s.rejected_shutdown = rejected(SubmitStatus::kRejectedShutdown);
   s.retries = AsCount(c_retries_);
   s.failed = AsCount(c_failed_);
   s.per_replica.reserve(c_per_replica_.size());
@@ -494,11 +444,10 @@ ServerStats BatchServer::Stats() const {
 
 std::string BatchServer::MetricsText() const {
   obs::Registry& reg = telemetry_->registry();
-  // Refresh the point-in-time gauges the hot path doesn't maintain.
+  // Refresh the point-in-time gauges no decision maintains (Record()
+  // keeps the queue depth and ladder level current).
   {
     MutexLock lock(mu_);
-    g_queue_depth_->Set(static_cast<double>(queue_.size()));
-    g_level_->Set(controller_.level());
     reg.GetGauge("shflbw_ladder_downshifts", "Degradation downshifts")
         .Set(static_cast<double>(controller_.downshifts()));
     reg.GetGauge("shflbw_ladder_upshifts", "Degradation upshifts")
@@ -525,378 +474,377 @@ bool BatchServer::DumpTrace(const std::string& path) const {
 }
 
 void BatchServer::ReplicaLoop(int replica) {
-  auto& level_engines = engines_[static_cast<std::size_t>(replica)];
-  const std::size_t max_batch =
-      static_cast<std::size_t>(std::max(1, opts_.max_batch));
-  const bool metrics = telemetry_->metrics_on();
   // Heartbeat discipline: armed whenever this thread owns work (from
   // wait-return to batch retirement), disarmed while it legitimately
   // blocks on an empty queue — so armed silence is always a stall.
   const int hb = heartbeats_.Register("replica" + std::to_string(replica));
   UniqueLock lock(mu_);
-  for (;;) {
-    heartbeats_.Disarm(hb);
-    not_empty_.Wait(mu_,
-                    [&]() SHFLBW_REQUIRES(mu_) { return stop_ || !queue_.empty(); });
-    heartbeats_.Arm(hb, NowSeconds());
-    // Drain-on-shutdown: keep serving until the queue is empty, so
-    // every future obtained from Submit resolves.
-    if (queue_.empty()) {  // implies stop_
-      heartbeats_.Unregister(hb);
-      return;
-    }
-    // Coalescing window: hold a partial batch open briefly so closely
-    // spaced requests fuse into one launch. Bounded (fairness — the
-    // oldest request pays at most the window on top of its queue wait)
-    // and cut short by shutdown or a sealed batch. A batch seals at
-    // max_batch, clamped to the queue capacity: with a bounded queue
-    // shorter than max_batch, Submit blocks at capacity, so a
-    // capacity-full queue is as fused as this server can get and must
-    // launch rather than stall out the whole window. The queue can
-    // have been emptied by a sibling replica when the wait returns, so
-    // re-loop rather than assume work remains. Forced (warmup)
-    // requests skip the window: they run alone, immediately.
-    const std::size_t seal = std::min(max_batch, opts_.queue_capacity);
-    const double window_start = NowSeconds();
-    bool windowed = false;
-    if (opts_.coalesce_window_seconds > 0 && !stop_ &&
-        queue_.front().force_level < 0 && queue_.size() < seal) {
-      windowed = true;
-      not_empty_.WaitFor(mu_, opts_.coalesce_window_seconds,
-                         [&]() SHFLBW_REQUIRES(mu_) {
-                           return stop_ || queue_.size() >= seal;
-                         });
-      heartbeats_.Beat(hb, NowSeconds());
-      if (queue_.empty()) continue;
-    }
-
-    // Seal the batch: the K oldest requests, FIFO submission order.
-    // Deadline-expired requests (except kCritical) are shed here — they
-    // resolve with kDeadlineExceeded instead of occupying a width slot
-    // in the fused launch, so the launch carries only live work. A
-    // forced (warmup) request always runs alone at its pinned level: it
-    // exists to pack one level's weights, and fusing user traffic into
-    // it would serve that traffic at a level the controller never
-    // chose.
-    const double seal_time = NowSeconds();
-    const std::size_t depth_at_seal = queue_.size();
-    std::vector<Pending> batch;
-    std::vector<Pending> dropped;
-    int level = 0;
-    if (queue_.front().force_level >= 0) {
-      level = queue_.front().force_level;
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    } else {
-      while (!queue_.empty() && batch.size() < max_batch &&
-             queue_.front().force_level < 0) {
-        Pending p = std::move(queue_.front());
-        queue_.pop_front();
-        const bool expired = p.req.deadline_seconds > 0 &&
-                             p.req.qos != QoS::kCritical &&
-                             seal_time - p.submit_time > p.req.deadline_seconds;
-        (expired ? dropped : batch).push_back(std::move(p));
-      }
-      // The controller observes every seal (even an all-shed one — a
-      // queue full of dead work is the strongest pressure signal there
-      // is) and picks the level this batch runs at.
-      level = controller_.OnSeal(depth_at_seal, opts_.queue_capacity);
-      if (controller_.level() != last_observed_level_) {
-        // The shared controller moved on this seal: flight-record the
-        // shift (old level in detail, new level in the level field).
-        obs::FlightEvent fe;
-        fe.kind = obs::FlightKind::kShift;
-        fe.t_seconds = seal_time;
-        fe.replica = static_cast<std::int8_t>(replica);
-        fe.level = static_cast<std::int16_t>(controller_.level());
-        fe.detail = last_observed_level_;
-        telemetry_->flight().Record(fe);
-        last_observed_level_ = controller_.level();
-      }
-    }
-    const std::size_t take = batch.size();
-    const std::uint64_t batch_id = next_batch_id_++;
-    g_queue_depth_->Set(static_cast<double>(queue_.size()));
-    g_level_->Set(controller_.level());
+  double window_start = -1;
+  // Drain-on-shutdown: AwaitWork keeps returning work until the queue
+  // is empty, so every future obtained from Submit resolves.
+  while (AwaitWork(hb, &window_start)) {
+    Batch batch = Seal(replica, window_start);
     lock.Unlock();
     heartbeats_.Beat(hb, NowSeconds());
-    {
-      obs::FlightEvent fe;
-      fe.kind = obs::FlightKind::kSeal;
-      fe.t_seconds = seal_time;
-      fe.batch_id = batch_id;
-      fe.replica = static_cast<std::int8_t>(replica);
-      fe.level = static_cast<std::int16_t>(level);
-      fe.width = static_cast<std::int32_t>(take);
-      fe.detail = static_cast<std::int32_t>(dropped.size());
-      fe.detail2 = static_cast<std::int32_t>(depth_at_seal);
-      telemetry_->flight().Record(fe);
-    }
     // Freed slots: wake every blocked Submit, not just one.
-    if (take + dropped.size() > 1) {
+    if (batch.requests.size() > 1) {
       not_full_.NotifyAll();
     } else {
       not_full_.NotifyOne();
     }
+    Launch(batch, hb);
+    lock.Lock();
+    Retire(batch);
+  }
+  heartbeats_.Unregister(hb);
+}
 
-    const bool tracing = telemetry_->tracing_on();
-    if (tracing) {
-      // Queue spans of everything this seal consumed, a coalesce span
-      // when the replica actually held the window open, and a shed
-      // span per deadline-expired drop.
-      obs::TraceEvent base;
-      base.batch_id = batch_id;
-      base.replica = replica;
-      base.level = level;
-      if (windowed) {
-        obs::TraceEvent ev = base;
-        ev.kind = obs::SpanKind::kCoalesce;
-        ev.begin_seconds = window_start;
-        ev.end_seconds = seal_time;
-        ev.width = static_cast<std::int32_t>(take);
-        telemetry_->trace().Record(ev);
-      }
-      for (const Pending& p : batch) {
-        obs::TraceEvent ev = base;
-        ev.kind = obs::SpanKind::kQueue;
-        ev.begin_seconds = p.submit_time;
-        ev.end_seconds = seal_time;
-        ev.request_id = p.id;
-        telemetry_->trace().Record(ev);
-      }
-      for (const Pending& p : dropped) {
-        obs::TraceEvent ev = base;
-        ev.kind = obs::SpanKind::kQueue;
-        ev.begin_seconds = p.submit_time;
-        ev.end_seconds = seal_time;
-        ev.request_id = p.id;
-        telemetry_->trace().Record(ev);
-        ev.kind = obs::SpanKind::kShed;
-        ev.begin_seconds = seal_time;
-        ev.end_seconds = NowSeconds();
-        ev.detail = 1;
-        telemetry_->trace().Record(ev);
-      }
+bool BatchServer::AwaitWork(int hb, double* window_start) {
+  // A batch seals at max_batch, clamped to the queue capacity: with a
+  // bounded queue shorter than max_batch, Submit blocks at capacity, so
+  // a capacity-full queue is as fused as this server can get and must
+  // launch rather than stall out the whole window.
+  const std::size_t seal = std::min(
+      static_cast<std::size_t>(opts_.max_batch), opts_.queue_capacity);
+  for (;;) {
+    heartbeats_.Disarm(hb);
+    not_empty_.Wait(mu_, [&]() SHFLBW_REQUIRES(mu_) {
+      return stop_ || !queue_.empty();
+    });
+    heartbeats_.Arm(hb, NowSeconds());
+    if (queue_.empty()) return false;  // implies stop_
+    // Coalescing window: hold a partial batch open briefly so closely
+    // spaced requests fuse into one launch. Bounded (fairness — the
+    // oldest request pays at most the window on top of its queue wait)
+    // and cut short by shutdown or a sealed batch. Forced (warmup)
+    // requests skip the window: they run alone, immediately.
+    *window_start = -1;
+    if (opts_.coalesce_window_seconds <= 0 || stop_ ||
+        queue_.front().force_level >= 0 || queue_.size() >= seal) {
+      return true;
     }
+    *window_start = NowSeconds();
+    not_empty_.WaitFor(mu_, opts_.coalesce_window_seconds,
+                       [&]() SHFLBW_REQUIRES(mu_) {
+                         return stop_ || queue_.size() >= seal;
+                       });
+    heartbeats_.Beat(hb, NowSeconds());
+    // A sibling replica may have emptied the queue meanwhile.
+    if (!queue_.empty()) return true;
+  }
+}
 
-    // Resolve shed promises before the counters are bumped under
-    // relock, so Drain returning implies every future is ready.
-    for (Pending& p : dropped) {
-      Response resp;
-      resp.id = p.id;
-      resp.status = ResponseStatus::kDeadlineExceeded;
-      resp.replica = replica;
-      resp.batch_width = 0;
-      resp.plan_level = level;
-      resp.queue_seconds = seal_time - p.submit_time;
-      if (metrics) h_queue_seconds_->Record(resp.queue_seconds);
-      obs::FlightEvent fe;
-      fe.kind = obs::FlightKind::kShed;
-      fe.t_seconds = seal_time;
-      fe.request_id = p.id;
-      fe.batch_id = batch_id;
-      fe.replica = static_cast<std::int8_t>(replica);
-      fe.level = static_cast<std::int16_t>(level);
-      fe.value = resp.queue_seconds;
-      telemetry_->flight().Record(fe);
-      p.promise.set_value(std::move(resp));
+BatchServer::Batch BatchServer::Seal(int replica, double window_start) {
+  // The K oldest requests, FIFO submission order. Deadline-expired
+  // requests (except kCritical) are shed here — they resolve with
+  // kDeadlineExceeded instead of occupying a width slot in the fused
+  // launch, so the launch carries only live work. A forced (warmup)
+  // request always runs alone at its pinned level: it exists to pack
+  // one level's weights, and fusing user traffic into it would serve
+  // that traffic at a level the controller never chose.
+  Batch b;
+  b.id = next_batch_id_++;
+  b.replica = replica;
+  b.seal_time = NowSeconds();
+  const std::size_t depth = queue_.size();
+  std::vector<Pending> shed;
+  if (queue_.front().force_level >= 0) {
+    b.level = queue_.front().force_level;
+    b.requests.push_back(std::move(queue_.front()));
+    queue_.pop_front();
+  } else {
+    while (!queue_.empty() &&
+           b.requests.size() < static_cast<std::size_t>(opts_.max_batch) &&
+           queue_.front().force_level < 0) {
+      Pending p = std::move(queue_.front());
+      queue_.pop_front();
+      const bool expired =
+          p.req.deadline_seconds > 0 && p.req.qos != QoS::kCritical &&
+          b.seal_time - p.submit_time > p.req.deadline_seconds;
+      (expired ? shed : b.requests).push_back(std::move(p));
     }
+    // The controller observes every seal (even an all-shed one — a
+    // queue full of dead work is the strongest pressure signal there
+    // is) and picks the level this batch runs at. Only OnSeal moves the
+    // level, so a shift is a seal that changed it: old level in detail,
+    // new level in the level field.
+    const int before = controller_.level();
+    b.level = controller_.OnSeal(depth, opts_.queue_capacity);
+    if (b.level != before) {
+      Decision shift;
+      shift.event.kind = obs::FlightKind::kShift;
+      shift.event.t_seconds = b.seal_time;
+      shift.event.replica = static_cast<std::int8_t>(replica);
+      shift.event.level = static_cast<std::int16_t>(b.level);
+      shift.event.detail = before;
+      Record(shift);
+    }
+  }
+  b.width = b.requests.size();
+  std::move(shed.begin(), shed.end(), std::back_inserter(b.requests));
 
-    if (batch.empty()) {
-      lock.Lock();
-      shed_ += dropped.size();
-      c_shed_->Add(static_cast<double>(dropped.size()));
-      if (completed_ + shed_ == next_id_) idle_.NotifyAll();
+  Decision seal = b.Decide(obs::FlightKind::kSeal, b.seal_time);
+  seal.event.detail = static_cast<std::int32_t>(b.requests.size() - b.width);
+  seal.event.detail2 = static_cast<std::int32_t>(depth);
+  seal.span_begin = window_start;
+  seal.requests = b.requests;
+  Record(seal);
+  for (const Pending& p : b.Shed()) {
+    Decision d = b.Decide(obs::FlightKind::kShed, b.seal_time);
+    d.event.request_id = p.id;
+    d.event.width = 0;  // a shed request joins no launch
+    d.event.value = b.seal_time - p.submit_time;
+    d.span_begin = b.seal_time;
+    Record(d);
+  }
+  if (b.width > 0) Record(b.Decide(obs::FlightKind::kLaunch, b.seal_time));
+  return b;
+}
+
+void BatchServer::Launch(Batch& b, int hb) {
+  // queue_seconds stops at the seal for every request in the batch.
+  const auto response = [&b](const Pending& p) {
+    Response resp;
+    resp.id = p.id;
+    resp.replica = b.replica;
+    resp.plan_level = b.level;
+    resp.queue_seconds = b.seal_time - p.submit_time;
+    return resp;
+  };
+  // Shed requests resolve before the retire step counts them, so Drain
+  // returning implies every future is ready.
+  for (Pending& p : b.Shed()) {
+    Response resp = response(p);
+    resp.status = ResponseStatus::kDeadlineExceeded;
+    resp.batch_width = 0;
+    p.promise.set_value(std::move(resp));
+  }
+  if (b.width == 0) return;
+
+  BatchRunResult run;
+  std::exception_ptr error;
+  try {
+    run = RunWithRetry(b, hb);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  b.done = NowSeconds();
+  b.failed = error != nullptr;
+  heartbeats_.Beat(hb, b.done);
+  {
+    // Recorded before any future resolves, so a caller holding a
+    // response already sees its spans and counts.
+    Decision complete = b.Decide(obs::FlightKind::kComplete, b.done);
+    complete.event.detail = b.attempts;
+    if (b.failed) {
+      complete.event.SetLabel("error");
+    } else {
+      complete.event.value = b.done - b.final_attempt_start;
+    }
+    complete.span_begin = b.seal_time;
+    complete.requests = b.Launched();
+    MutexLock lock(mu_);
+    Record(complete);
+  }
+  for (std::size_t i = 0; i < b.width; ++i) {
+    Pending& p = b.requests[i];
+    if (b.failed) {
+      p.promise.set_exception(error);
       continue;
     }
+    // The split is exact: queue + retry + run == submit-to-completion.
+    Response resp = response(p);
+    resp.batch_width = static_cast<int>(b.width);
+    resp.retained_ratio = level_ratios_[static_cast<std::size_t>(b.level)];
+    resp.retries = b.attempts;
+    resp.retry_seconds = b.final_attempt_start - b.seal_time;
+    resp.run_seconds = b.done - b.final_attempt_start;
+    resp.packs_performed = run.packs_performed;
+    resp.output = std::move(run.outputs[i]);
+    p.promise.set_value(std::move(resp));
+  }
+}
 
-    // queue_seconds stops here — coalesce time — for every request in
-    // the batch; run_seconds covers the fused launch (including any
-    // retries), so the split still sums to submit-to-completion per
-    // request.
-    Engine& engine = *level_engines[static_cast<std::size_t>(level)];
-    const double dispatch_time = seal_time;
-    std::vector<std::uint64_t> seeds;
-    seeds.reserve(take);
-    for (const Pending& p : batch) seeds.push_back(p.req.activation_seed);
-    BatchContext ctx;
-    ctx.batch_id = batch_id;
-    ctx.replica = replica;
-    ctx.level = level;
-    {
-      obs::FlightEvent fe;
-      fe.kind = obs::FlightKind::kLaunch;
-      fe.t_seconds = dispatch_time;
-      fe.batch_id = batch_id;
-      fe.replica = static_cast<std::int8_t>(replica);
-      fe.level = static_cast<std::int16_t>(level);
-      fe.width = static_cast<std::int32_t>(take);
-      telemetry_->flight().Record(fe);
-    }
-    int attempts = 0;
-    bool batch_failed = false;
-    double done = dispatch_time;
-    // Start of the attempt that ultimately succeeds: everything before
-    // it (failed attempts + backoff sleeps) is retry overhead, reported
-    // separately so queue + retry + run == submit-to-completion exactly
-    // even for retried launches.
-    double final_attempt_start = dispatch_time;
+BatchRunResult BatchServer::RunWithRetry(Batch& b, int hb) {
+  std::vector<std::uint64_t> seeds;
+  seeds.reserve(b.width);
+  for (const Pending& p : b.Launched()) seeds.push_back(p.req.activation_seed);
+  BatchContext ctx;
+  ctx.batch_id = b.id;
+  ctx.replica = b.replica;
+  ctx.level = b.level;
+  Engine& engine = *engines_[static_cast<std::size_t>(b.replica)]
+                            [static_cast<std::size_t>(b.level)];
+  // Bounded retry-with-backoff on transient faults (injected or
+  // backend-raised). A failed launch leaves the cache and the engine's
+  // streaming state unmodified — the injector fires before any
+  // mutation — so a retry is a clean re-execution and the eventual
+  // output is bit-identical to an unfaulted run. Non-transient errors
+  // propagate immediately. Everything between the seal and the start
+  // of the attempt that succeeds (failed attempts + backoff sleeps) is
+  // retry overhead; run_seconds covers that attempt alone.
+  b.final_attempt_start = b.seal_time;
+  for (;;) {
     try {
-      // Bounded retry-with-backoff on transient faults (injected or
-      // backend-raised). A failed launch leaves the cache and the
-      // engine's streaming state unmodified — the injector fires before
-      // any mutation — so a retry is a clean re-execution and the
-      // eventual output is bit-identical to an unfaulted run.
-      // Non-transient errors propagate immediately.
-      BatchRunResult run;
-      for (;;) {
-        try {
-          run = engine.RunBatched(seeds, ctx);
-          break;
-        } catch (const TransientFault&) {
-          if (attempts >= opts_.retry.max_retries) throw;
-          const double fail_time = NowSeconds();
-          const double backoff =
-              opts_.retry.backoff_seconds *
-              std::pow(opts_.retry.backoff_multiplier, attempts);
-          if (backoff > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(backoff));
-          }
-          ++attempts;
-          final_attempt_start = NowSeconds();
-          heartbeats_.Beat(hb, final_attempt_start);
-          {
-            obs::FlightEvent fe;
-            fe.kind = obs::FlightKind::kRetry;
-            fe.t_seconds = fail_time;
-            fe.batch_id = batch_id;
-            fe.replica = static_cast<std::int8_t>(replica);
-            fe.level = static_cast<std::int16_t>(level);
-            fe.width = static_cast<std::int32_t>(take);
-            fe.detail = attempts;
-            telemetry_->flight().Record(fe);
-          }
-          if (tracing) {
-            obs::TraceEvent ev;
-            ev.kind = obs::SpanKind::kRetry;
-            ev.begin_seconds = fail_time;
-            ev.end_seconds = final_attempt_start;
-            ev.batch_id = batch_id;
-            ev.replica = replica;
-            ev.level = level;
-            ev.width = static_cast<std::int32_t>(take);
-            ev.attempt = attempts;
-            telemetry_->trace().Record(ev);
-          }
+      return engine.RunBatched(seeds, ctx);
+    } catch (const TransientFault&) {
+      if (b.attempts >= opts_.retry.max_retries) throw;
+      const double fail_time = NowSeconds();
+      const double backoff =
+          opts_.retry.backoff_seconds *
+          std::pow(opts_.retry.backoff_multiplier, b.attempts);
+      if (backoff > 0) {
+        std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
+      }
+      ++b.attempts;
+      b.final_attempt_start = NowSeconds();
+      heartbeats_.Beat(hb, b.final_attempt_start);
+      Decision retry = b.Decide(obs::FlightKind::kRetry, b.final_attempt_start);
+      retry.event.detail = b.attempts;
+      retry.span_begin = fail_time;
+      MutexLock lock(mu_);
+      Record(retry);
+    }
+  }
+}
+
+void BatchServer::Retire(Batch& b) {
+  // The whole batch (served and shed together) retires under one lock
+  // hold, after its promises resolved, atomically with the idle_
+  // notification Drain waits on.
+  completed_ += b.width;
+  shed_ += b.requests.size() - b.width;
+  // Feed the control plane: the admission EWMA learns per-request
+  // service time from the fused launch (one observation per launch),
+  // the degradation controller sees every deadline-carrying
+  // completion's latency/deadline ratio. Warmup (forced) batches are
+  // excluded — they measure pack latency, not steady-state service.
+  if (b.width > 0 && !b.failed && b.requests.front().force_level < 0) {
+    admission_.RecordServiceTime((b.done - b.seal_time) /
+                                 static_cast<double>(b.width));
+    for (const Pending& p : b.Launched()) {
+      if (p.req.deadline_seconds > 0) {
+        controller_.RecordCompletion(b.done - p.submit_time,
+                                     p.req.deadline_seconds);
+      }
+    }
+  }
+  if (completed_ + shed_ == next_id_) idle_.NotifyAll();
+}
+
+BatchServer::Decision BatchServer::Batch::Decide(obs::FlightKind kind,
+                                                 double t) const {
+  Decision d;
+  d.event.kind = kind;
+  d.event.t_seconds = t;
+  d.event.batch_id = id;
+  d.event.replica = static_cast<std::int8_t>(replica);
+  d.event.level = static_cast<std::int16_t>(level);
+  d.event.width = static_cast<std::int32_t>(width);
+  return d;
+}
+
+void BatchServer::Record(const Decision& d) {
+  const obs::FlightEvent& e = d.event;
+  telemetry_->flight().Record(e);
+  const bool metrics = telemetry_->metrics_on();
+  const bool tracing = telemetry_->tracing_on();
+  // Every span a decision closes ends when the decision was made and
+  // carries its batch, replica and level.
+  obs::TraceEvent span;
+  span.end_seconds = e.t_seconds;
+  span.batch_id = e.batch_id;
+  span.replica = e.replica;
+  span.level = e.level;
+  const auto emit = [&](obs::SpanKind kind, double begin,
+                        std::uint64_t request_id) {
+    span.kind = kind;
+    span.begin_seconds = begin;
+    span.request_id = request_id;
+    telemetry_->trace().Record(span);
+  };
+  const double width = static_cast<double>(e.width);
+  switch (e.kind) {
+    case obs::FlightKind::kSubmit:
+    case obs::FlightKind::kReject: {
+      const SubmitStatus verdict = e.kind == obs::FlightKind::kSubmit
+                                       ? SubmitStatus::kAccepted
+                                       : static_cast<SubmitStatus>(e.detail);
+      c_verdicts_[static_cast<std::size_t>(verdict)]->Add();
+      if (e.kind == obs::FlightKind::kSubmit) g_queue_depth_->Set(e.detail);
+      if (tracing) {
+        span.detail = static_cast<std::int32_t>(verdict);
+        span.SetLabel(SubmitStatusName(verdict));
+        emit(obs::SpanKind::kAdmission, d.span_begin, e.request_id);
+      }
+      break;
+    }
+    case obs::FlightKind::kSeal:
+      // detail2 is the depth the seal found; it took width + detail.
+      g_queue_depth_->Set(e.detail2 - e.width - e.detail);
+      if (tracing) {
+        for (const Pending& p : d.requests) {
+          emit(obs::SpanKind::kQueue, p.submit_time, p.id);
+        }
+        if (d.span_begin >= 0) {  // the replica held the window open
+          span.width = e.width;
+          emit(obs::SpanKind::kCoalesce, d.span_begin, obs::kNoId);
         }
       }
-      done = NowSeconds();
-      const double retry_s = final_attempt_start - dispatch_time;
-      const double run_s = done - final_attempt_start;
-      {
-        obs::FlightEvent fe;
-        fe.kind = obs::FlightKind::kComplete;
-        fe.t_seconds = done;
-        fe.batch_id = batch_id;
-        fe.replica = static_cast<std::int8_t>(replica);
-        fe.level = static_cast<std::int16_t>(level);
-        fe.width = static_cast<std::int32_t>(take);
-        fe.detail = attempts;
-        fe.value = run_s;
-        telemetry_->flight().Record(fe);
+      break;
+    case obs::FlightKind::kShift:
+      g_level_->Set(e.level);
+      break;
+    case obs::FlightKind::kShed:
+      c_shed_->Add();
+      if (metrics) h_queue_seconds_->Record(e.value);
+      if (tracing) {
+        span.detail = 1;
+        emit(obs::SpanKind::kShed, d.span_begin, e.request_id);
+      }
+      break;
+    case obs::FlightKind::kLaunch:
+      break;
+    case obs::FlightKind::kRetry:
+      c_retries_->Add();
+      if (tracing) {
+        span.width = e.width;
+        span.attempt = e.detail;
+        emit(obs::SpanKind::kRetry, d.span_begin, obs::kNoId);
+      }
+      break;
+    case obs::FlightKind::kComplete:
+      c_completed_->Add(width);
+      c_per_replica_[static_cast<std::size_t>(e.replica)]->Add(width);
+      c_per_level_[static_cast<std::size_t>(e.level)]->Add(width);
+      if (e.label[0] != '\0') {  // only a failed launch is labelled
+        c_failed_->Add(width);
+        break;
       }
       if (metrics) {
-        h_batch_width_->Record(static_cast<double>(take));
-        h_run_seconds_->Record(run_s);
-        if (attempts > 0) h_retry_seconds_->Record(retry_s);
-      }
-      for (std::size_t i = 0; i < take; ++i) {
-        Pending& p = batch[i];
-        Response resp;
-        resp.id = p.id;
-        resp.replica = replica;
-        resp.batch_width = static_cast<int>(take);
-        resp.plan_level = level;
-        resp.retained_ratio = level_ratios_[static_cast<std::size_t>(level)];
-        resp.retries = attempts;
-        resp.queue_seconds = dispatch_time - p.submit_time;
-        resp.retry_seconds = retry_s;
-        resp.run_seconds = run_s;
-        resp.packs_performed = run.packs_performed;
-        resp.output = std::move(run.outputs[i]);
-        if (metrics) {
-          h_queue_seconds_->Record(resp.queue_seconds);
-          h_total_seconds_->Record(done - p.submit_time);
+        // value is the final attempt's run time; the retry overhead is
+        // the rest of dispatch -> completion.
+        h_batch_width_->Record(width);
+        h_run_seconds_->Record(e.value);
+        if (e.detail > 0) {
+          h_retry_seconds_->Record(e.t_seconds - e.value - d.span_begin);
         }
-        if (tracing) {
-          obs::TraceEvent ev;
-          ev.kind = obs::SpanKind::kRun;
-          ev.begin_seconds = dispatch_time;
-          ev.end_seconds = done;
-          ev.request_id = p.id;
-          ev.batch_id = batch_id;
-          ev.replica = replica;
-          ev.level = level;
-          ev.width = static_cast<std::int32_t>(take);
-          ev.retries = attempts;
-          telemetry_->trace().Record(ev);
-        }
-        p.promise.set_value(std::move(resp));
-      }
-    } catch (...) {
-      batch_failed = true;
-      done = NowSeconds();
-      obs::FlightEvent fe;
-      fe.kind = obs::FlightKind::kComplete;
-      fe.t_seconds = done;
-      fe.batch_id = batch_id;
-      fe.replica = static_cast<std::int8_t>(replica);
-      fe.level = static_cast<std::int16_t>(level);
-      fe.width = static_cast<std::int32_t>(take);
-      fe.detail = attempts;
-      fe.SetLabel("error");
-      telemetry_->flight().Record(fe);
-      for (Pending& p : batch) {
-        p.promise.set_exception(std::current_exception());
-      }
-    }
-    heartbeats_.Beat(hb, done);
-
-    lock.Lock();
-    // Retire the whole batch (served and shed together) under one lock
-    // hold, atomically with the idle_ notification Drain waits on. The
-    // protocol counters and their registry mirrors move together.
-    completed_ += take;
-    shed_ += dropped.size();
-    c_completed_->Add(static_cast<double>(take));
-    if (!dropped.empty()) c_shed_->Add(static_cast<double>(dropped.size()));
-    if (attempts > 0) c_retries_->Add(attempts);
-    c_per_replica_[static_cast<std::size_t>(replica)]->Add(
-        static_cast<double>(take));
-    c_per_level_[static_cast<std::size_t>(level)]->Add(
-        static_cast<double>(take));
-    if (batch_failed) {
-      c_failed_->Add(static_cast<double>(take));
-    } else {
-      // Feed the control plane: the admission EWMA learns per-request
-      // service time from the fused launch (one observation per
-      // launch), the degradation controller sees every deadline-
-      // carrying completion's latency/deadline ratio. Warmup (forced)
-      // batches are excluded — they measure pack latency, not
-      // steady-state service.
-      if (batch.front().force_level < 0) {
-        admission_.RecordServiceTime((done - dispatch_time) /
-                                     static_cast<double>(take));
-        for (const Pending& p : batch) {
-          if (p.req.deadline_seconds > 0) {
-            controller_.RecordCompletion(done - p.submit_time,
-                                         p.req.deadline_seconds);
-          }
+        for (const Pending& p : d.requests) {
+          h_queue_seconds_->Record(d.span_begin - p.submit_time);
+          h_total_seconds_->Record(e.t_seconds - p.submit_time);
         }
       }
-    }
-    if (completed_ + shed_ == next_id_) idle_.NotifyAll();
+      if (tracing) {
+        span.width = e.width;
+        span.retries = e.detail;
+        for (const Pending& p : d.requests) {
+          emit(obs::SpanKind::kRun, d.span_begin, p.id);
+        }
+      }
+      break;
+    case obs::FlightKind::kStall:
+      c_stalls_->Add();
+      break;
   }
 }
 
@@ -1116,20 +1064,19 @@ bool BatchServer::DumpFlightRecorder(const std::string& path) const {
 }
 
 void BatchServer::OnStall(const std::string& name, double age_seconds) {
-  c_stalls_->Add();
   {
     MutexLock lock(mu_);
     last_stall_ = name;
     last_stall_age_ = age_seconds;
+    // Record the detection itself before dumping, so the postmortem's
+    // last event is the stall that triggered it.
+    Decision stall;
+    stall.event.kind = obs::FlightKind::kStall;
+    stall.event.t_seconds = NowSeconds();
+    stall.event.value = age_seconds;
+    stall.event.SetLabel(name.c_str());
+    Record(stall);
   }
-  // Record the detection itself before dumping, so the postmortem's
-  // last event is the stall that triggered it.
-  obs::FlightEvent fe;
-  fe.kind = obs::FlightKind::kStall;
-  fe.t_seconds = NowSeconds();
-  fe.value = age_seconds;
-  fe.SetLabel(name.c_str());
-  telemetry_->flight().Record(fe);
   if (!opts_.watchdog.dump_path.empty()) {
     // Best effort: the stall is already counted and flight-recorded
     // even when the dump path is unwritable.

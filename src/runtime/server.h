@@ -37,10 +37,12 @@
 // with (RunBatched's per-column-block contract).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <future>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -107,11 +109,12 @@ struct ServerOptions {
   obs::WatchdogOptions watchdog;
 };
 
-/// Validates `opts` (replicas >= 1, queue_capacity >= 1, max_batch >=
-/// 1, coalesce window >= 0, admission / degradation / retry knobs, and
-/// the ladder x force_format conflict), throwing shflbw::Error with a
-/// descriptive message on the first violation. The BatchServer
-/// constructor calls this; exposed so callers can fail fast.
+/// Validates `opts` (1 <= replicas <= obs::HeartbeatRegistry::kMaxSlots,
+/// queue_capacity >= 1, max_batch >= 1, coalesce window >= 0, admission
+/// / degradation / retry knobs, and the ladder x force_format conflict),
+/// throwing shflbw::Error with a descriptive message on the first
+/// violation. The BatchServer constructor calls this; exposed so
+/// callers can fail fast.
 void ValidateServerOptions(const ServerOptions& opts);
 
 /// One unit of work: a whole-model inference pass over the activation
@@ -166,13 +169,11 @@ struct Response {
   std::size_t packs_performed = 0;
 };
 
-/// Point-in-time server statistics. Since the telemetry subsystem this
-/// is a SNAPSHOT VIEW composed by Stats() from the metrics registry
-/// (obs/metrics.h) plus the server's protocol counters — the struct is
-/// kept so call sites and tests keep compiling; the registry (and its
-/// Prometheus exposition, BatchServer::MetricsText) is the source of
-/// truth and carries strictly more: latency histograms, per-kernel
-/// profiling rows, planned-vs-measured drift.
+/// Point-in-time server statistics: a snapshot Stats() composes from
+/// the metrics registry (obs/metrics.h) and the protocol counters. The
+/// registry (and its Prometheus exposition, BatchServer::MetricsText)
+/// carries strictly more: latency histograms, per-kernel profiling
+/// rows, planned-vs-measured drift.
 struct ServerStats {
   std::uint64_t submitted = 0;  // admitted to the queue
   std::uint64_t completed = 0;  // resolved by a launch (ok or error)
@@ -276,8 +277,8 @@ class BatchServer {
   obs::Telemetry& telemetry() const { return *telemetry_; }
 
   /// Prometheus text exposition of the whole registry, with the
-  /// point-in-time gauges (queue depth, ladder level, worker-pool
-  /// state, admission estimate) refreshed first. Safe while serving.
+  /// point-in-time gauges (worker-pool state, ladder shift totals,
+  /// admission estimate) refreshed first. Safe while serving.
   std::string MetricsText() const SHFLBW_EXCLUDES(mu_);
 
   /// Writes the recorded span trace as Chrome trace-event JSON —
@@ -332,26 +333,79 @@ class BatchServer {
     std::promise<Response> promise;
   };
 
-  /// Common admission path; queue space must be available.
-  std::future<Response> Enqueue(Request req, int force_level)
-      SHFLBW_REQUIRES(mu_);
-  std::future<Response> SubmitInternal(Request req, int force_level)
+  /// One scheduler decision: its flight event plus, for a decision
+  /// that closes spans, the start of its own span (< 0: none) and the
+  /// requests whose spans it closes (queue spans at the seal, run spans
+  /// at completion). Every span ends at event.t_seconds.
+  struct Decision {
+    obs::FlightEvent event;
+    double span_begin = -1;
+    std::span<const Pending> requests;
+  };
+
+  /// What one seal consumed: requests[0, width) run as one fused
+  /// launch, requests[width, end) were shed. Owned by the replica
+  /// thread that sealed it, from seal to retirement.
+  struct Batch {
+    std::vector<Pending> requests;
+    std::size_t width = 0;
+    std::uint64_t id = 0;
+    int replica = 0;
+    int level = 0;
+    double seal_time = 0;   // also the dispatch time of the launch
+    int attempts = 0;       // transient-fault retries of the launch
+    double final_attempt_start = 0;
+    double done = 0;
+    bool failed = false;
+
+    std::span<Pending> Launched() { return {requests.data(), width}; }
+    std::span<Pending> Shed() { return std::span(requests).subspan(width); }
+    /// A decision about this batch at time `t`, carrying its id,
+    /// replica, level and width.
+    Decision Decide(obs::FlightKind kind, double t) const;
+  };
+
+  /// The one admission path behind Submit (`block`: wait for queue
+  /// space), TrySubmit and Warmup (`force_level` >= 0). Counts and
+  /// records the verdict; sets *out only when accepted.
+  [[nodiscard]] SubmitStatus Admit(Request req, bool block, int force_level,
+                                   std::future<Response>* out)
       SHFLBW_EXCLUDES(mu_);
+
+  /// Records one decision: the flight event, its spans when tracing is
+  /// on, and its counter, gauge and histogram updates. The only place
+  /// the server writes telemetry, so the sinks cannot disagree; under
+  /// mu_, so Stats() reads exact counts. Each decision is recorded
+  /// before any future it settles resolves.
+  void Record(const Decision& d) SHFLBW_REQUIRES(mu_);
+
+  /// One replica's scheduler thread: a loop over the four steps below.
   void ReplicaLoop(int replica) SHFLBW_EXCLUDES(mu_);
+  /// Step 1: blocks until there is work, then holds the coalesce window
+  /// open. *window_start is the window's start, or -1 when the batch
+  /// seals without one. False once shut down with an empty queue.
+  bool AwaitWork(int hb, double* window_start) SHFLBW_REQUIRES(mu_);
+  /// Step 2: seals the oldest requests into a batch, shedding expired
+  /// ones and letting the controller pick (and shift) the level.
+  Batch Seal(int replica, double window_start) SHFLBW_REQUIRES(mu_);
+  /// Step 3: resolves the shed requests, runs the batch with bounded
+  /// retry, records the completion and resolves the batch's requests.
+  void Launch(Batch& b, int hb) SHFLBW_EXCLUDES(mu_);
+  /// The launch itself: RunBatched, retrying transient faults with
+  /// backoff and recording each retry. Throws when the batch fails.
+  BatchRunResult RunWithRetry(Batch& b, int hb) SHFLBW_EXCLUDES(mu_);
+  /// Step 4: retires the batch into the protocol counters and the
+  /// control plane, atomically with the idle_ notification Drain waits
+  /// on.
+  void Retire(Batch& b) SHFLBW_REQUIRES(mu_);
 
   /// Registers the serving-side metric handles (counters, histograms,
   /// gauges) in telemetry_'s registry; constructor-only.
   void RegisterMetrics();
 
-  /// Records an admission span (begin -> now) when tracing is on, and
-  /// a kReject flight event on every rejection (flight recording is
-  /// always on). `id` is kNoId on rejections (no id was assigned).
-  void TraceAdmission(double begin, std::uint64_t id, SubmitStatus verdict);
-
-  /// Watchdog stall callback (watchdog thread): bumps the stall
-  /// counter, records a kStall flight event naming the stalled slot,
-  /// and writes the statusz + flight postmortem when
-  /// ServerOptions::watchdog.dump_path is set.
+  /// Watchdog stall callback (watchdog thread): records the stall
+  /// naming the stalled slot, and writes the statusz + flight
+  /// postmortem when ServerOptions::watchdog.dump_path is set.
   void OnStall(const std::string& name, double age_seconds)
       SHFLBW_EXCLUDES(mu_);
 
@@ -377,21 +431,21 @@ class BatchServer {
   bool stop_ SHFLBW_GUARDED_BY(mu_) = false;
   /// Protocol counters: the cv predicates (Drain's idle condition, the
   /// conservation law) need exact values read under mu_, so these stay
-  /// plain members; they are mirrored into registry counters at the
-  /// same increment sites (one relaxed add each, already under mu_).
+  /// plain members. next_id_ moves with each accepted admission;
+  /// completed_ and shed_ move at retirement, after the batch's
+  /// promises resolve.
   std::uint64_t next_id_ SHFLBW_GUARDED_BY(mu_) = 0;
   std::uint64_t completed_ SHFLBW_GUARDED_BY(mu_) = 0;
   std::uint64_t shed_ SHFLBW_GUARDED_BY(mu_) = 0;
   std::uint64_t next_batch_id_ SHFLBW_GUARDED_BY(mu_) = 0;  // seal order
   /// Cached registry handles; every non-protocol stat lives only in the
-  /// registry now (Stats() reads it back). All increments happen under
+  /// registry (Stats() reads it back). Only Record() writes them, under
   /// mu_, so Stats() — which also holds mu_ — sees exact values.
-  obs::Counter* c_submitted_ = nullptr;
+  /// c_verdicts_ is indexed by SubmitStatus: submitted, then each
+  /// rejection reason.
+  std::array<obs::Counter*, 4> c_verdicts_ = {};
   obs::Counter* c_completed_ = nullptr;
   obs::Counter* c_shed_ = nullptr;
-  obs::Counter* c_rejected_queue_full_ = nullptr;
-  obs::Counter* c_rejected_deadline_ = nullptr;
-  obs::Counter* c_rejected_shutdown_ = nullptr;
   obs::Counter* c_retries_ = nullptr;
   obs::Counter* c_failed_ = nullptr;
   std::vector<obs::Counter*> c_per_replica_;  // completed, by replica
@@ -409,10 +463,6 @@ class BatchServer {
   AdmissionController admission_ SHFLBW_GUARDED_BY(mu_);
   DegradationController controller_ SHFLBW_GUARDED_BY(mu_);
 
-  /// Controller level after the most recent seal; kShift flight events
-  /// are emitted on transitions, so any replica's seal can observe the
-  /// shared controller moving.
-  int last_observed_level_ SHFLBW_GUARDED_BY(mu_) = 0;
   /// Most recent watchdog stall (statusz watchdog section).
   std::string last_stall_ SHFLBW_GUARDED_BY(mu_);
   double last_stall_age_ SHFLBW_GUARDED_BY(mu_) = 0;

@@ -61,6 +61,12 @@ TEST(ValidateServerOptions, RejectsEachBadKnobDescriptively) {
     EXPECT_THROW(ValidateServerOptions(opts), Error) << what;
   };
   expect_rejects([](ServerOptions& o) { o.replicas = 0; }, "replicas");
+  // Validation only: no server with this many replicas is ever built.
+  expect_rejects(
+      [](ServerOptions& o) {
+        o.replicas = obs::HeartbeatRegistry::kMaxSlots + 1;
+      },
+      "replicas beyond the heartbeat slots");
   expect_rejects([](ServerOptions& o) { o.queue_capacity = 0; },
                  "queue_capacity");
   expect_rejects([](ServerOptions& o) { o.max_batch = 0; }, "max_batch");
@@ -113,6 +119,8 @@ TEST(ValidateServerOptions, RejectsEachBadKnobDescriptively) {
 
   ServerOptions ok;
   ok.degradation.ladder_floors = {0.95, 0.85, 0.7};
+  EXPECT_NO_THROW(ValidateServerOptions(ok));
+  ok.replicas = obs::HeartbeatRegistry::kMaxSlots;
   EXPECT_NO_THROW(ValidateServerOptions(ok));
 }
 
