@@ -191,25 +191,18 @@ ConvTiming RunConvCase(const ConvCase& cc, int reps, int v) {
   const ShflBwMatrix weights = PruneToShflBw(master, cc.alpha, v);
   Tensor4 input(shape.batch, shape.in_c, shape.in_h, shape.in_w);
   for (float& x : input.data) x = static_cast<float>(rng.Normal());
-  const GpuSpec& spec = GetGpuSpec(GpuArch::kV100);
 
   ConvTiming t;
+  t.flops = 2.0 * weights.vw.KeptVectors() * v * shape.GemmN();
   Matrix<float> c_dense, c_serial, c_parallel;
-  t.dense_ms = BestOfMs(reps, [&] {
-    c_dense = Conv2dDense(input, master, shape, spec).c;
-  });
-  KernelResult sparse;
+  t.dense_ms =
+      BestOfMs(reps, [&] { c_dense = Conv2dDense(input, master, shape); });
   SetParallelThreads(1);
-  t.serial_ms = BestOfMs(reps, [&] {
-    sparse = Conv2dShflBw(input, weights, shape, spec);
-  });
-  c_serial = sparse.c;
+  t.serial_ms = BestOfMs(
+      reps, [&] { c_serial = Conv2dShflBw(input, weights, shape); });
   SetParallelThreads(0);
-  t.parallel_ms = BestOfMs(reps, [&] {
-    sparse = Conv2dShflBw(input, weights, shape, spec);
-  });
-  c_parallel = sparse.c;
-  t.flops = sparse.stats.useful_flops;
+  t.parallel_ms = BestOfMs(
+      reps, [&] { c_parallel = Conv2dShflBw(input, weights, shape); });
   t.identical = c_serial == c_parallel;
   return t;
 }
@@ -221,7 +214,6 @@ Timing RunCase(const BenchCase& bc, int reps, int v) {
   const VectorWiseMatrix a = VectorWiseMatrix::FromDense(pruned, v);
   const Matrix<float> b = rng.NormalMatrix(bc.k, bc.n);
   const TileConfig cfg;
-  const GpuSpec& spec = GetGpuSpec(GpuArch::kV100);
 
   Timing t;
   t.flops = 2.0 * a.KeptVectors() * v * bc.n;
@@ -230,10 +222,10 @@ Timing RunCase(const BenchCase& bc, int reps, int v) {
   t.seed_ms = BestOfMs(reps, [&] { c_seed = SeedSerialVw(a, b, cfg); });
   SetParallelThreads(1);
   t.serial_ms =
-      BestOfMs(reps, [&] { c_serial = SpmmVectorWise(a, b, spec, cfg).c; });
+      BestOfMs(reps, [&] { c_serial = SpmmVectorWise(a, b, cfg); });
   SetParallelThreads(0);
   t.parallel_ms =
-      BestOfMs(reps, [&] { c_parallel = SpmmVectorWise(a, b, spec, cfg).c; });
+      BestOfMs(reps, [&] { c_parallel = SpmmVectorWise(a, b, cfg); });
   t.identical = c_seed == c_serial && c_serial == c_parallel;
   return t;
 }

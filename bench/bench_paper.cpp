@@ -38,8 +38,8 @@
 #include "core/evaluator.h"
 #include "kernels/gemm_dense.h"
 #include "kernels/layernorm_fuse.h"
+#include "kernels/spmm_csr.h"
 #include "kernels/spmm_shfl_bw.h"
-#include "kernels/spmm_sputnik.h"
 #include "kernels/spmm_vector_wise.h"
 #include "model/gnmt.h"
 #include "model/resnet50.h"
@@ -896,7 +896,7 @@ void AblationPipeline(Section& s) {
     TileConfig cfg;
     cfg.meta_prefetch_stage = mps;
     std::vector<PipelineEvent> trace;
-    SpmmShflBwTraced(m, b, spec, cfg, trace);
+    SpmmShflBw(m, b, cfg, &trace);
     int hazards = 0;
     for (const PipelineEvent& e : trace) {
       if (!e.meta_ready) ++hazards;

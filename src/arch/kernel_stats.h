@@ -1,8 +1,8 @@
-// Per-kernel-invocation resource counts. Every functional kernel in
-// src/kernels fills one of these while (or instead of) executing, by
-// counting exactly the traffic and instructions the corresponding CUDA
-// kernel would issue. The cost model turns these counts into modelled
-// time on a GpuSpec.
+// Per-kernel-invocation resource counts. Every kernel in src/kernels has
+// a stats model (its *Stats functions) that fills one of these without
+// executing, by counting exactly the traffic and instructions the
+// corresponding CUDA kernel would issue. The cost model turns these
+// counts into modelled time on a GpuSpec.
 #pragma once
 
 #include <string>

@@ -28,9 +28,7 @@ SparseConv2d::SparseConv2d(const Matrix<float>& filter_matrix,
 }
 
 Matrix<float> SparseConv2d::Forward(const Tensor4& input) const {
-  return runtime::Ops(options_.format)
-      .conv(packed_, shape_, input, GetGpuSpec(GpuArch::kV100))
-      .c;
+  return runtime::Ops(options_.format).conv(packed_, shape_, input);
 }
 
 KernelStats SparseConv2d::Stats(const GpuSpec& spec) const {

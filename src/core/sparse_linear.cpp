@@ -20,11 +20,7 @@ SparseLinear::SparseLinear(const Matrix<float>& weights,
 }
 
 Matrix<float> SparseLinear::Forward(const Matrix<float>& x) const {
-  // Functional execution is architecture-independent; any spec works for
-  // the stats side of the kernel call.
-  return runtime::Ops(options_.format)
-      .gemm(packed_, x, GetGpuSpec(GpuArch::kV100))
-      .c;
+  return runtime::Ops(options_.format).gemm(packed_, x);
 }
 
 KernelStats SparseLinear::Stats(int n, const GpuSpec& spec) const {

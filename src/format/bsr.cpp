@@ -69,6 +69,12 @@ void BsrMatrix::Validate() const {
                                     block_size * block_size);
   for (int br = 0; br < BlockRows(); ++br) {
     SHFLBW_CHECK(block_row_ptr[br] <= block_row_ptr[br + 1]);
+    // Bound the slice before indexing block_col_idx with it, as
+    // CsrMatrix::Validate does for row_ptr.
+    SHFLBW_CHECK_MSG(block_row_ptr[br + 1] <= NnzBlocks(),
+                     "block_row_ptr " << block_row_ptr[br + 1]
+                                      << " exceeds nnz blocks " << NnzBlocks()
+                                      << " at block-row " << br);
     for (int i = block_row_ptr[br]; i < block_row_ptr[br + 1]; ++i) {
       SHFLBW_CHECK_MSG(block_col_idx[i] >= 0 && block_col_idx[i] < BlockCols(),
                        "block col out of range");

@@ -71,6 +71,12 @@ void VectorWiseMatrix::Validate() const {
                static_cast<std::size_t>(KeptVectors()) * v);
   for (int g = 0; g < Groups(); ++g) {
     SHFLBW_CHECK(group_col_ptr[g] <= group_col_ptr[g + 1]);
+    // Bound the slice before indexing col_idx with it, as
+    // CsrMatrix::Validate does for row_ptr.
+    SHFLBW_CHECK_MSG(group_col_ptr[g + 1] <= KeptVectors(),
+                     "group_col_ptr " << group_col_ptr[g + 1]
+                                      << " exceeds kept vectors "
+                                      << KeptVectors() << " at group " << g);
     for (int i = group_col_ptr[g]; i < group_col_ptr[g + 1]; ++i) {
       SHFLBW_CHECK_MSG(col_idx[i] >= 0 && col_idx[i] < cols,
                        "column out of range in group " << g);

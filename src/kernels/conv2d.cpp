@@ -113,30 +113,26 @@ KernelStats Conv2dVectorWiseStats(const ConvShape& shape, double alpha, int v,
   return s;
 }
 
-KernelResult Conv2dDense(const Tensor4& input, const Matrix<float>& weights,
-                         const ConvShape& shape, const GpuSpec& spec) {
+Matrix<float> Conv2dDense(const Tensor4& input, const Matrix<float>& weights,
+                          const ConvShape& shape) {
   SHFLBW_CHECK_MSG(weights.rows() == shape.out_c &&
                        weights.cols() == shape.GemmK(),
                    "weights " << weights.rows() << "x" << weights.cols()
                               << " do not match conv shape");
-  const Matrix<float> b = Im2Col(input, shape);
-  KernelResult r;
-  r.c = GemmReference(weights, b);
-  r.stats = Conv2dDenseStats(shape, spec);
-  return r;
+  return GemmReference(weights, Im2Col(input, shape));
 }
 
-KernelResult Conv2dShflBw(const Tensor4& input, const ShflBwMatrix& weights,
-                          const ConvShape& shape, const GpuSpec& spec,
-                          const TileConfig& cfg) {
+KernelResult Conv2dDense(const Tensor4& input, const Matrix<float>& weights,
+                         const ConvShape& shape, const GpuSpec& spec) {
+  return {Conv2dDense(input, weights, shape), Conv2dDenseStats(shape, spec)};
+}
+
+Matrix<float> Conv2dShflBw(const Tensor4& input, const ShflBwMatrix& weights,
+                           const ConvShape& shape, const TileConfig& cfg) {
   SHFLBW_CHECK_MSG(weights.rows() == shape.out_c &&
                        weights.cols() == shape.GemmK(),
                    "sparse weights do not match conv shape");
-  const Matrix<float> b = Im2Col(input, shape);
-  KernelResult r = SpmmShflBw(weights, b, spec, cfg);
-  DeduplicateActivationTraffic(r.stats, shape, spec);
-  r.stats.kernel_name = "shflbw-implicit-gemm";
-  return r;
+  return SpmmShflBw(weights, Im2Col(input, shape), cfg);
 }
 
 }  // namespace shflbw

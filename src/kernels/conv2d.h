@@ -86,13 +86,16 @@ Matrix<float> FilterToMatrix(const std::vector<float>& filter,
 
 /// Dense cuDNN-style implicit-GEMM convolution on tensor-cores.
 /// Output layout: M x N matrix (out channel x (batch*oh*ow)).
+Matrix<float> Conv2dDense(const Tensor4& input, const Matrix<float>& weights,
+                          const ConvShape& shape);
+
+/// Execute plus Conv2dDenseStats.
 KernelResult Conv2dDense(const Tensor4& input, const Matrix<float>& weights,
                          const ConvShape& shape, const GpuSpec& spec);
 
 /// Shfl-BW sparse implicit-GEMM convolution.
-KernelResult Conv2dShflBw(const Tensor4& input, const ShflBwMatrix& weights,
-                          const ConvShape& shape, const GpuSpec& spec,
-                          const TileConfig& cfg = {});
+Matrix<float> Conv2dShflBw(const Tensor4& input, const ShflBwMatrix& weights,
+                           const ConvShape& shape, const TileConfig& cfg = {});
 
 /// Stats-only models (used by the ResNet50 layer sweeps): the implicit-
 /// GEMM traffic equals the GEMM traffic except the dense operand's DRAM

@@ -96,20 +96,4 @@ KernelStats GemmCudaCoreStats(int m, int n, int k, const GpuSpec& spec) {
                     KernelClass::kDenseCudaCore, /*tensor_core=*/false);
 }
 
-KernelResult GemmTensorCore(const Matrix<float>& a, const Matrix<float>& b,
-                            const GpuSpec& spec) {
-  KernelResult r;
-  r.c = GemmReference(a, b);
-  r.stats = GemmTensorCoreStats(a.rows(), b.cols(), a.cols(), spec);
-  return r;
-}
-
-KernelResult GemmCudaCore(const Matrix<float>& a, const Matrix<float>& b,
-                          const GpuSpec& spec) {
-  KernelResult r;
-  r.c = GemmReference(a, b);
-  r.stats = GemmCudaCoreStats(a.rows(), b.cols(), a.cols(), spec);
-  return r;
-}
-
 }  // namespace shflbw

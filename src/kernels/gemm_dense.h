@@ -1,6 +1,7 @@
 // Dense GEMM baselines: the cuBLAS tensor-core and CUDA-core kernels the
 // paper normalizes against (Fig. 1 "Tensor-Core" / "Cuda-Core" lines,
-// Fig. 6 "dense baseline").
+// Fig. 6 "dense baseline"). Both classes execute as GemmReference; they
+// differ only in their stats models.
 #pragma once
 
 #include "arch/gpu_spec.h"
@@ -14,16 +15,8 @@ namespace shflbw {
 /// A. Output values are representable in fp16 (final round).
 Matrix<float> GemmReference(const Matrix<float>& a, const Matrix<float>& b);
 
-/// cuBLAS-style tensor-core dense GEMM (128x128 threadblock tiles).
-KernelResult GemmTensorCore(const Matrix<float>& a, const Matrix<float>& b,
-                            const GpuSpec& spec);
-
-/// cuBLAS-style CUDA-core dense GEMM (64x64 threadblock tiles).
-KernelResult GemmCudaCore(const Matrix<float>& a, const Matrix<float>& b,
-                          const GpuSpec& spec);
-
-/// Stats-only variants for pure performance modelling (no functional
-/// execution; used by layer sweeps over big shapes).
+/// Stats models of the cuBLAS-style tensor-core GEMM (128x128
+/// threadblock tiles) and CUDA-core GEMM (64x64 tiles).
 KernelStats GemmTensorCoreStats(int m, int n, int k, const GpuSpec& spec);
 KernelStats GemmCudaCoreStats(int m, int n, int k, const GpuSpec& spec);
 

@@ -1,17 +1,25 @@
 // Shared types for the functional GPU-kernel simulators.
 //
-// Every kernel in this directory does two things, exactly as described in
-// docs/REPRODUCTION.md §1:
-//   1. *Functional execution*: computes the output matrix by performing
-//      the same algorithmic steps as the corresponding CUDA kernel
-//      (tile loads, in-buffer stitching, MMA-granularity accumulation,
-//      reordered write-back), with fp16 operands and fp32 accumulation.
-//      All kernels accumulate along K in ascending order, so their
-//      outputs are bit-identical to the dense reference on the same
-//      masked weights.
-//   2. *Stats collection*: counts the DRAM/L2 traffic and MAC
-//      instructions the CUDA kernel would issue; the arch cost model
-//      converts these into modelled time on V100/T4/A100.
+// Every kernel in this directory has two halves, kept as separate
+// functions (docs/REPRODUCTION.md §1):
+//   1. *Execute* (SpmmCsr, SpmmShflBw, Conv2dDense, ...): computes the
+//      output matrix by performing the same algorithmic steps as the
+//      corresponding CUDA kernel (tile loads, in-buffer stitching,
+//      MMA-granularity accumulation, reordered write-back), with fp16
+//      operands and fp32 accumulation. It takes no GpuSpec: the result
+//      is the same on every modelled GPU. All kernels accumulate along K
+//      in ascending order, so their outputs are bit-identical to the
+//      dense reference on the same masked weights.
+//   2. *Stats model* (the *Stats functions): counts the DRAM/L2 traffic
+//      and MAC instructions the CUDA kernel would issue on a GpuSpec;
+//      the arch cost model converts these into modelled time on
+//      V100/T4/A100. Nothing here runs the execute to get them.
+//
+// Kernel classes that differ only in their stats share one execute:
+// both dense classes (tensor-core, CUDA-core) run GemmReference; the
+// cuSPARSE and Sputnik classes run SpmmCsr; the VW, Tilewise and
+// VectorSparse classes run SpmmVectorWise, the last two at
+// TilewiseConfig() / VectorSparseConfig().
 //
 // Wide-batch contract: N (the dense-operand column count) is a free
 // dimension, not a fixed model property. Output column j depends only
@@ -37,7 +45,8 @@ namespace shflbw {
 /// Bytes per stored element (half precision).
 inline constexpr double kHalfBytes = 2.0;
 
-/// Output of one kernel invocation.
+/// An execute's output paired with its stats model, as returned by the
+/// GpuSpec overloads of SpmmShflBw, SpmmVectorWise and Conv2dDense.
 struct KernelResult {
   Matrix<float> c;    // M x N output (fp16-representable values)
   KernelStats stats;  // resource counts for the cost model

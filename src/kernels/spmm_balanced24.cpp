@@ -43,12 +43,11 @@ KernelStats SpmmBalanced24Stats(int m, int n, int k, const GpuSpec& spec) {
   return s;
 }
 
-KernelResult SpmmBalanced24(const Balanced24Matrix& a, const Matrix<float>& b,
-                            const GpuSpec& spec) {
+Matrix<float> SpmmBalanced24(const Balanced24Matrix& a,
+                             const Matrix<float>& b) {
   SHFLBW_CHECK_MSG(a.cols == b.rows(), "SpMM shape mismatch");
   const int n = b.cols();
-  KernelResult r;
-  r.c = Matrix<float>(a.rows, n);
+  Matrix<float> c(a.rows, n);
   // Operand selection + MMA: for each quad, the two kept values multiply
   // the B rows their metadata points at (ascending position within the
   // quad == ascending K). Rows are independent and run in parallel over
@@ -70,13 +69,12 @@ KernelResult SpmmBalanced24(const Balanced24Matrix& a, const Matrix<float>& b,
           for (int j = 0; j < n; ++j) acc[j] += v * brow[j];
         }
       }
-      float* crow = r.c.row(static_cast<int>(row));
+      float* crow = c.row(static_cast<int>(row));
       for (int j = 0; j < n; ++j) crow[j] = RoundToFp16(acc[j]);
     }
     SHFLBW_HOT_END;
   });
-  r.stats = SpmmBalanced24Stats(a.rows, n, a.cols, spec);
-  return r;
+  return c;
 }
 
 }  // namespace shflbw

@@ -11,13 +11,12 @@
 
 namespace shflbw {
 
-/// C = A_24 * B using the sparse tensor-core model. Only meaningful on
-/// A100 (the only evaluated GPU with sparse-TC support); the functional
-/// result is architecture-independent.
-KernelResult SpmmBalanced24(const Balanced24Matrix& a, const Matrix<float>& b,
-                            const GpuSpec& spec);
+/// C = A_24 * B: the sparse tensor-core's operand selection + MMA. The
+/// result is architecture-independent; only the stats model is A100's
+/// (the only evaluated GPU with sparse-TC support).
+Matrix<float> SpmmBalanced24(const Balanced24Matrix& a, const Matrix<float>& b);
 
-/// Stats-only model for shape (m, n, k).
+/// Stats model for shape (m, n, k).
 KernelStats SpmmBalanced24Stats(int m, int n, int k, const GpuSpec& spec);
 
 }  // namespace shflbw

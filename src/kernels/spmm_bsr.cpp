@@ -45,13 +45,11 @@ KernelStats SpmmBsrStats(int m, int n, int k, double nnz_blocks, int v,
   return s;
 }
 
-KernelResult SpmmBsr(const BsrMatrix& a, const Matrix<float>& b,
-                     const GpuSpec& spec, const TileConfig& cfg) {
+Matrix<float> SpmmBsr(const BsrMatrix& a, const Matrix<float>& b) {
   SHFLBW_CHECK_MSG(a.cols == b.rows(), "SpMM shape mismatch");
   const int n = b.cols();
   const int v = a.block_size;
-  KernelResult r;
-  r.c = Matrix<float>(a.rows, n);
+  Matrix<float> c(a.rows, n);
   // Block-row schedule: accumulate dense V x V blocks in ascending
   // block-column order (== ascending K). Block rows are independent
   // output strips, so they run in parallel over pre-rounded operands.
@@ -76,14 +74,13 @@ KernelResult SpmmBsr(const BsrMatrix& a, const Matrix<float>& b,
             for (int j = 0; j < n; ++j) acc[j] += av * brow[j];
           }
         }
-        float* crow = r.c.row(row);
+        float* crow = c.row(row);
         for (int j = 0; j < n; ++j) crow[j] = RoundToFp16(acc[j]);
       }
     }
     SHFLBW_HOT_END;
   });
-  r.stats = SpmmBsrStats(a.rows, n, a.cols, a.NnzBlocks(), v, spec, cfg);
-  return r;
+  return c;
 }
 
 }  // namespace shflbw

@@ -11,8 +11,7 @@
 namespace shflbw {
 
 /// C = A_bsr * B on tensor-cores.
-KernelResult SpmmBsr(const BsrMatrix& a, const Matrix<float>& b,
-                     const GpuSpec& spec, const TileConfig& cfg = {});
+Matrix<float> SpmmBsr(const BsrMatrix& a, const Matrix<float>& b);
 
 /// Stats-only model: m, n, k element dims; nnz_blocks stored blocks of
 /// size v.

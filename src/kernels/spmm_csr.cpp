@@ -35,7 +35,38 @@ KernelStats SpmmCsrScalarStats(int m, int n, int k, double nnz,
   return s;
 }
 
-Matrix<float> RunCsrRowParallel(const CsrMatrix& a, const Matrix<float>& b) {
+KernelStats SpmmSputnikStats(int m, int n, int k, double nnz,
+                             const GpuSpec& spec) {
+  KernelStats s;
+  s.kernel_name = "sputnik";
+  s.kernel_class = KernelClass::kSputnik;
+  s.tensor_core = false;
+  s.useful_flops = 2.0 * nnz * n;
+  s.issued_macs = nnz * n;
+
+  // Sputnik stores fp16 values with int16 relative column offsets after
+  // its index compression, plus row offsets.
+  s.metadata_bytes = 2.0 * nnz + 4.0 * (m + 1);
+  const double a_bytes = nnz * kHalfBytes + s.metadata_bytes;
+  const double b_unique = static_cast<double>(k) * n * kHalfBytes;
+  // Row-split: each non-zero triggers a vector load of the N-wide B row
+  // slice. Sputnik's 128-bit vector loads and row-sorted schedule give
+  // high L1 locality on the B slices, so only ~1/4 of the gather volume
+  // reaches the L2 (the rest hits in L1).
+  constexpr double kL1MissRate = 0.25;
+  s.l2_read_bytes = nnz * n * kHalfBytes * kL1MissRate + a_bytes;
+  s.dram_read_bytes =
+      a_bytes + b_unique * ReloadFactor(b_unique, spec.l2_capacity,
+                                        std::max(1.0, nnz / std::max(1, k)));
+  s.dram_write_bytes = static_cast<double>(m) * n * kHalfBytes;
+  s.threadblocks = (m + 3) / 4;  // 4 rows per threadblock (subwarp tiling)
+  s.main_loop_iters =
+      m > 0 ? std::max(1, static_cast<int>(nnz / m / 32)) : 0;
+  s.pipeline_stages = 1;  // single-stage prefetch in Sputnik
+  return s;
+}
+
+Matrix<float> SpmmCsr(const CsrMatrix& a, const Matrix<float>& b) {
   SHFLBW_CHECK_MSG(a.cols == b.rows(), "SpMM shape mismatch");
   const int n = b.cols();
   Matrix<float> c(a.rows, n);
@@ -62,14 +93,6 @@ Matrix<float> RunCsrRowParallel(const CsrMatrix& a, const Matrix<float>& b) {
     SHFLBW_HOT_END;
   });
   return c;
-}
-
-KernelResult SpmmCsrScalar(const CsrMatrix& a, const Matrix<float>& b,
-                           const GpuSpec& spec) {
-  KernelResult r;
-  r.c = RunCsrRowParallel(a, b);
-  r.stats = SpmmCsrScalarStats(a.rows, b.cols(), a.cols, a.Nnz(), spec);
-  return r;
 }
 
 }  // namespace shflbw

@@ -18,27 +18,25 @@ std::vector<int> UniformKept(int m, int k, double alpha, int v) {
 
 }  // namespace
 
-KernelResult SpmmShflBw(const ShflBwMatrix& a, const Matrix<float>& b,
-                        const GpuSpec& spec, const TileConfig& cfg) {
-  KernelResult r;
+Matrix<float> SpmmShflBw(const ShflBwMatrix& a, const Matrix<float>& b,
+                         const TileConfig& cfg,
+                         std::vector<PipelineEvent>* pipeline_trace) {
   // Hot path lives in RunVwFamilyKernel's ExecuteVwTile (the SHFLBW_HOT
   // region in spmm_vector_wise.cpp); this wrapper only shapes operands.
-  r.c = RunVwFamilyKernel(a.vw, a.storage_to_original, b, cfg, nullptr);
-  r.stats = VwFamilyStats(a.rows(), b.cols(), a.cols(), a.vw.KeptPerGroup(),
-                          a.v(), spec, cfg, KernelClass::kShflBwTensorCore,
-                          /*extra_metadata_bytes=*/4.0 * a.rows());
-  return r;
+  return RunVwFamilyKernel(a.vw, a.storage_to_original, b, cfg,
+                           pipeline_trace);
 }
 
-KernelResult SpmmShflBwTraced(const ShflBwMatrix& a, const Matrix<float>& b,
-                              const GpuSpec& spec, const TileConfig& cfg,
-                              std::vector<PipelineEvent>& trace) {
-  KernelResult r;
-  r.c = RunVwFamilyKernel(a.vw, a.storage_to_original, b, cfg, &trace);
-  r.stats = VwFamilyStats(a.rows(), b.cols(), a.cols(), a.vw.KeptPerGroup(),
-                          a.v(), spec, cfg, KernelClass::kShflBwTensorCore,
-                          /*extra_metadata_bytes=*/4.0 * a.rows());
-  return r;
+KernelStats SpmmShflBwStats(const ShflBwMatrix& a, int n,
+                            const GpuSpec& spec) {
+  return VwFamilyStats(a.rows(), n, a.cols(), a.vw.KeptPerGroup(), a.v(), spec,
+                       TileConfig{}, KernelClass::kShflBwTensorCore,
+                       /*extra_metadata_bytes=*/4.0 * a.rows());
+}
+
+KernelResult SpmmShflBw(const ShflBwMatrix& a, const Matrix<float>& b,
+                        const GpuSpec& spec) {
+  return {SpmmShflBw(a, b), SpmmShflBwStats(a, b.cols(), spec)};
 }
 
 KernelStats SpmmShflBwStats(int m, int n, int k, double alpha, int v,

@@ -15,14 +15,19 @@
 namespace shflbw {
 
 /// C = A_shflbw * B on tensor-cores; C rows are in ORIGINAL order.
-KernelResult SpmmShflBw(const ShflBwMatrix& a, const Matrix<float>& b,
-                        const GpuSpec& spec, const TileConfig& cfg = {});
+/// pipeline_trace, when non-null, receives the pipeline counter trace of
+/// the first tile (for testing the Algorithm 1 prefetch schedule).
+Matrix<float> SpmmShflBw(const ShflBwMatrix& a, const Matrix<float>& b,
+                         const TileConfig& cfg = {},
+                         std::vector<PipelineEvent>* pipeline_trace = nullptr);
 
-/// As above, also recording the pipeline counter trace of the first tile
-/// (for testing the Algorithm 1 prefetch schedule).
-KernelResult SpmmShflBwTraced(const ShflBwMatrix& a, const Matrix<float>& b,
-                              const GpuSpec& spec, const TileConfig& cfg,
-                              std::vector<PipelineEvent>& trace);
+/// Stats model of SpmmShflBw on `a` with n activation columns, at the
+/// default tile configuration.
+KernelStats SpmmShflBwStats(const ShflBwMatrix& a, int n, const GpuSpec& spec);
+
+/// Execute plus stats at the default tile configuration.
+KernelResult SpmmShflBw(const ShflBwMatrix& a, const Matrix<float>& b,
+                        const GpuSpec& spec);
 
 /// Stats-only model for a layer of shape (m, n, k) pruned to Shfl-BW with
 /// vector size v at stored density `alpha` (kept vectors spread evenly

@@ -7,7 +7,6 @@
 #pragma once
 
 #include "arch/gpu_spec.h"
-#include "format/vector_wise.h"
 #include "kernels/spmm_vector_wise.h"
 
 namespace shflbw {
@@ -15,9 +14,9 @@ namespace shflbw {
 inline constexpr int kTilewiseV = 128;
 inline constexpr int kTilewiseStreams = 8;
 
-/// C = A_vw * B with the Tilewise schedule. a.v must be 128.
-KernelResult SpmmTilewise(const VectorWiseMatrix& a, const Matrix<float>& b,
-                          const GpuSpec& spec);
+/// Tile configuration of the Tilewise kernel. Its execute is
+/// SpmmVectorWise at this configuration on a V=128 matrix.
+TileConfig TilewiseConfig();
 
 /// Stats-only model at stored density alpha (V fixed to 128).
 KernelStats SpmmTilewiseStats(int m, int n, int k, double alpha,

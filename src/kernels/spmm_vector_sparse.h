@@ -6,16 +6,15 @@
 #pragma once
 
 #include "arch/gpu_spec.h"
-#include "format/vector_wise.h"
 #include "kernels/spmm_vector_wise.h"
 
 namespace shflbw {
 
 inline constexpr int kVectorSparseV = 8;
 
-/// C = A_vw * B with the VectorSparse schedule. a.v must be <= 8.
-KernelResult SpmmVectorSparse(const VectorWiseMatrix& a,
-                              const Matrix<float>& b, const GpuSpec& spec);
+/// Tile configuration of the VectorSparse kernel. Its execute is
+/// SpmmVectorWise at this configuration on a V<=8 matrix.
+TileConfig VectorSparseConfig();
 
 /// Stats-only model at stored density alpha (V fixed to 8).
 KernelStats SpmmVectorSparseStats(int m, int n, int k, double alpha,

@@ -278,16 +278,23 @@ Matrix<float> RunVwFamilyKernel(const VectorWiseMatrix& a,
   return c;
 }
 
-KernelResult SpmmVectorWise(const VectorWiseMatrix& a, const Matrix<float>& b,
-                            const GpuSpec& spec, const TileConfig& cfg) {
+Matrix<float> SpmmVectorWise(const VectorWiseMatrix& a, const Matrix<float>& b,
+                             const TileConfig& cfg) {
   std::vector<int> identity(static_cast<std::size_t>(a.rows));
   std::iota(identity.begin(), identity.end(), 0);
-  KernelResult r;
-  r.c = RunVwFamilyKernel(a, identity, b, cfg, nullptr);
-  r.stats = VwFamilyStats(a.rows, b.cols(), a.cols, a.KeptPerGroup(), a.v,
-                          spec, cfg, KernelClass::kVectorWiseTensorCore,
-                          /*extra_metadata_bytes=*/0.0);
-  return r;
+  return RunVwFamilyKernel(a, identity, b, cfg, nullptr);
+}
+
+KernelStats SpmmVectorWiseStats(const VectorWiseMatrix& a, int n,
+                                const GpuSpec& spec) {
+  return VwFamilyStats(a.rows, n, a.cols, a.KeptPerGroup(), a.v, spec,
+                       TileConfig{}, KernelClass::kVectorWiseTensorCore,
+                       /*extra_metadata_bytes=*/0.0);
+}
+
+KernelResult SpmmVectorWise(const VectorWiseMatrix& a, const Matrix<float>& b,
+                            const GpuSpec& spec) {
+  return {SpmmVectorWise(a, b), SpmmVectorWiseStats(a, b.cols(), spec)};
 }
 
 }  // namespace shflbw

@@ -12,8 +12,19 @@
 namespace shflbw {
 
 /// C = A_vw * B on tensor-cores (rows written back in storage order).
+/// Also the execute of the Tilewise and VectorSparse baselines, run at
+/// TilewiseConfig() / VectorSparseConfig().
+Matrix<float> SpmmVectorWise(const VectorWiseMatrix& a, const Matrix<float>& b,
+                             const TileConfig& cfg = {});
+
+/// Stats model of SpmmVectorWise on `a` with n activation columns, at
+/// the default tile configuration.
+KernelStats SpmmVectorWiseStats(const VectorWiseMatrix& a, int n,
+                                const GpuSpec& spec);
+
+/// Execute plus stats at the default tile configuration.
 KernelResult SpmmVectorWise(const VectorWiseMatrix& a, const Matrix<float>& b,
-                            const GpuSpec& spec, const TileConfig& cfg = {});
+                            const GpuSpec& spec);
 
 /// Shared VW-family stats model: v-tall dense tiles over kept vectors.
 /// kept_per_group holds the number of kept columns of each row group;

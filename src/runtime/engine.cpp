@@ -242,14 +242,15 @@ BatchRunResult Engine::RunBatched(const std::vector<std::uint64_t>& seeds,
     // widen the batch to batch*width (request j = batch block j, which
     // Im2Col turns into column block j of the implicit GEMM).
     double adapt0 = NowSeconds();
-    KernelResult kr;
+    const FormatOps& ops = Ops(w.format);
+    Matrix<float> layer_out;
     double t0 = 0, t1 = 0;
     int block_n = 0;  // per-request output columns of this layer
     if (l.kind == LayerKind::kGemm) {
       block_n = l.gemm.n;
       const Matrix<float>& act = FusedGemmInput(l.gemm.k, l.gemm.n, width);
       t0 = NowSeconds();
-      kr = Ops(w.format).gemm(w, act, spec_);
+      layer_out = ops.gemm(w, act);
       t1 = NowSeconds();
     } else {
       const ConvShape shape = ToConvShape(l.conv);
@@ -258,7 +259,7 @@ BatchRunResult Engine::RunBatched(const std::vector<std::uint64_t>& seeds,
       fused.batch = shape.batch * width;
       const Tensor4& input = FusedConvInput(shape, width);
       t0 = NowSeconds();
-      kr = Ops(w.format).conv(w, fused, input, spec_);
+      layer_out = ops.conv(w, fused, input);
       t1 = NowSeconds();
     }
 
@@ -267,7 +268,9 @@ BatchRunResult Engine::RunBatched(const std::vector<std::uint64_t>& seeds,
     rec.format = lp.format;
     rec.repeat = l.repeat;
     rec.seconds = t1 - t0;
-    rec.useful_flops = kr.stats.useful_flops;
+    // A conv layer's useful FLOPs are those of its implicit GEMM, whose
+    // N is the fused batch's output pixels.
+    rec.useful_flops = ops.gemm_stats(w, block_n * width, spec_).useful_flops;
     rec.modeled_s = lp.modeled_s;
     rec.modeled_dense_s = lp.modeled_dense_s;
     result.kernel_seconds += rec.seconds;
@@ -315,12 +318,13 @@ BatchRunResult Engine::RunBatched(const std::vector<std::uint64_t>& seeds,
     // exact value sequence (and thus the exact double accumulation and
     // inv_rms bit pattern) of a width-1 run of the same request. The
     // final layer streams into nothing, so it skips the pass entirely.
-    const int rows = kr.c.rows();
+    const int rows = layer_out.rows();
     const bool last = i + 1 == model_.layers.size();
     for (int j = 0; !last && j < width; ++j) {
       double sum_sq = 0.0;
       for (int r = 0; r < rows; ++r) {
-        const float* src = kr.c.row(r) + static_cast<std::size_t>(j) * block_n;
+        const float* src =
+            layer_out.row(r) + static_cast<std::size_t>(j) * block_n;
         for (int c = 0; c < block_n; ++c) {
           const float x = src[c];
           sum_sq += static_cast<double>(x) * x;
@@ -335,7 +339,8 @@ BatchRunResult Engine::RunBatched(const std::vector<std::uint64_t>& seeds,
       std::vector<float>& stream = streams_[static_cast<std::size_t>(j)];
       stream.resize(block_size);
       for (int r = 0; r < rows; ++r) {
-        const float* src = kr.c.row(r) + static_cast<std::size_t>(j) * block_n;
+        const float* src =
+            layer_out.row(r) + static_cast<std::size_t>(j) * block_n;
         float* dst = stream.data() + static_cast<std::size_t>(r) * block_n;
         for (int c = 0; c < block_n; ++c) dst[c] = src[c] * inv_rms;
       }
@@ -348,13 +353,13 @@ BatchRunResult Engine::RunBatched(const std::vector<std::uint64_t>& seeds,
       // the serial Run path zero-copy as before.
       result.outputs.reserve(static_cast<std::size_t>(width));
       if (width == 1) {
-        result.outputs.push_back(std::move(kr.c));
+        result.outputs.push_back(std::move(layer_out));
       } else {
         for (int j = 0; j < width; ++j) {
           Matrix<float> out(rows, block_n);
           for (int r = 0; r < rows; ++r) {
             const float* src =
-                kr.c.row(r) + static_cast<std::size_t>(j) * block_n;
+                layer_out.row(r) + static_cast<std::size_t>(j) * block_n;
             std::copy(src, src + block_n, out.row(r));
           }
           result.outputs.push_back(std::move(out));
@@ -375,14 +380,14 @@ double Engine::TimeLayerOnce(int layer, const FormatCandidate& cand) {
   if (l.kind == LayerKind::kGemm) {
     const Matrix<float> act = rng.NormalMatrix(l.gemm.k, l.gemm.n);
     const double t0 = NowSeconds();
-    (void)Ops(w.format).gemm(w, act, spec_);
+    (void)Ops(w.format).gemm(w, act);
     return NowSeconds() - t0;
   }
   const ConvShape shape = ToConvShape(l.conv);
   Tensor4 input(shape.batch, shape.in_c, shape.in_h, shape.in_w);
   for (float& x : input.data) x = static_cast<float>(rng.Normal());
   const double t0 = NowSeconds();
-  (void)Ops(w.format).conv(w, shape, input, spec_);
+  (void)Ops(w.format).conv(w, shape, input);
   return NowSeconds() - t0;
 }
 

@@ -73,7 +73,7 @@ struct LayerRunRecord {
   Format format = Format::kDense;
   int repeat = 1;
   double seconds = 0;       // measured kernel wall-clock
-  double useful_flops = 0;  // from the kernel's stats counters
+  double useful_flops = 0;  // from the format's stats model
   double modeled_s = 0;     // planner's cost-model prediction
   double modeled_dense_s = 0;
 

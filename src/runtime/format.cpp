@@ -8,8 +8,8 @@
 #include "kernels/gemm_dense.h"
 #include "kernels/spmm_balanced24.h"
 #include "kernels/spmm_bsr.h"
+#include "kernels/spmm_csr.h"
 #include "kernels/spmm_shfl_bw.h"
-#include "kernels/spmm_sputnik.h"
 #include "kernels/spmm_vector_wise.h"
 #include "prune/balanced24_prune.h"
 #include "prune/block_wise.h"
@@ -41,16 +41,15 @@ constexpr FormatOps kOps[] = {
                    PackedWeight& out) {
           out.dense = RoundThroughFp16(pruned);
         },
-        .gemm = [](const PackedWeight& w, const Matrix<float>& act,
-                   const GpuSpec& spec) {
-          return GemmTensorCore(w.dense, act, spec);
+        .gemm = [](const PackedWeight& w, const Matrix<float>& act) {
+          return GemmReference(w.dense, act);
         },
         .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
           return GemmTensorCoreStats(w.dense.rows(), n, w.dense.cols(), spec);
         },
         .conv = [](const PackedWeight& w, const ConvShape& shape,
-                   const Tensor4& input, const GpuSpec& spec) {
-          return Conv2dDense(input, w.dense, shape, spec);
+                   const Tensor4& input) {
+          return Conv2dDense(input, w.dense, shape);
         },
         .conv_stats = [](const ConvShape& shape, double, int,
                          const GpuSpec& spec) -> std::optional<KernelStats> {
@@ -70,9 +69,8 @@ constexpr FormatOps kOps[] = {
                    PackedWeight& out) {
           out.csr = CsrMatrix::FromDense(pruned);
         },
-        .gemm = [](const PackedWeight& w, const Matrix<float>& act,
-                   const GpuSpec& spec) {
-          return SpmmSputnik(w.csr, act, spec);
+        .gemm = [](const PackedWeight& w, const Matrix<float>& act) {
+          return SpmmCsr(w.csr, act);
         },
         .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
           return SpmmSputnikStats(w.csr.rows, n, w.csr.cols, w.csr.Nnz(), spec);
@@ -93,9 +91,8 @@ constexpr FormatOps kOps[] = {
                    PackedWeight& out) {
           out.bsr = BsrMatrix::FromDense(pruned, v);
         },
-        .gemm = [](const PackedWeight& w, const Matrix<float>& act,
-                   const GpuSpec& spec) {
-          return SpmmBsr(w.bsr, act, spec);
+        .gemm = [](const PackedWeight& w, const Matrix<float>& act) {
+          return SpmmBsr(w.bsr, act);
         },
         .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
           return SpmmBsrStats(w.bsr.rows, n, w.bsr.cols, w.bsr.NnzBlocks(),
@@ -121,9 +118,8 @@ constexpr FormatOps kOps[] = {
                    PackedWeight& out) {
           out.balanced24 = Balanced24Matrix::FromDense(pruned);
         },
-        .gemm = [](const PackedWeight& w, const Matrix<float>& act,
-                   const GpuSpec& spec) {
-          return SpmmBalanced24(w.balanced24, act, spec);
+        .gemm = [](const PackedWeight& w, const Matrix<float>& act) {
+          return SpmmBalanced24(w.balanced24, act);
         },
         .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
           return SpmmBalanced24Stats(w.balanced24.rows, n, w.balanced24.cols,
@@ -148,21 +144,17 @@ constexpr FormatOps kOps[] = {
                    PackedWeight& out) {
           out.vw = VectorWiseMatrix::FromDense(pruned, v);
         },
-        .gemm = [](const PackedWeight& w, const Matrix<float>& act,
-                   const GpuSpec& spec) {
-          return SpmmVectorWise(w.vw, act, spec);
+        .gemm = [](const PackedWeight& w, const Matrix<float>& act) {
+          return SpmmVectorWise(w.vw, act);
         },
         .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
-          return VwFamilyStats(w.vw.rows, n, w.vw.cols, w.vw.KeptPerGroup(),
-                               w.vw.v, spec, TileConfig{},
-                               KernelClass::kVectorWiseTensorCore,
-                               /*extra_metadata_bytes=*/0.0);
+          return SpmmVectorWiseStats(w.vw, n, spec);
         },
         // Implicit GEMM with the VW kernel: Conv2dShflBw minus the row
         // shuffle (the unfold is shared with Conv2dDense).
         .conv = [](const PackedWeight& w, const ConvShape& shape,
-                   const Tensor4& input, const GpuSpec& spec) {
-          return SpmmVectorWise(w.vw, Im2Col(input, shape), spec);
+                   const Tensor4& input) {
+          return SpmmVectorWise(w.vw, Im2Col(input, shape));
         },
         .conv_stats = [](const ConvShape& shape, double density, int v,
                          const GpuSpec& spec) -> std::optional<KernelStats> {
@@ -186,20 +178,15 @@ constexpr FormatOps kOps[] = {
                    PackedWeight& out) {
           out.shflbw = ShflBwMatrix::FromDense(pruned, v, storage_to_original);
         },
-        .gemm = [](const PackedWeight& w, const Matrix<float>& act,
-                   const GpuSpec& spec) {
-          return SpmmShflBw(w.shflbw, act, spec);
+        .gemm = [](const PackedWeight& w, const Matrix<float>& act) {
+          return SpmmShflBw(w.shflbw, act);
         },
         .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
-          const ShflBwMatrix& s = w.shflbw;
-          return VwFamilyStats(s.rows(), n, s.cols(), s.vw.KeptPerGroup(),
-                               s.v(), spec, TileConfig{},
-                               KernelClass::kShflBwTensorCore,
-                               /*extra_metadata_bytes=*/4.0 * s.rows());
+          return SpmmShflBwStats(w.shflbw, n, spec);
         },
         .conv = [](const PackedWeight& w, const ConvShape& shape,
-                   const Tensor4& input, const GpuSpec& spec) {
-          return Conv2dShflBw(input, w.shflbw, shape, spec);
+                   const Tensor4& input) {
+          return Conv2dShflBw(input, w.shflbw, shape);
         },
         .conv_stats = [](const ConvShape& shape, double density, int v,
                          const GpuSpec& spec) -> std::optional<KernelStats> {

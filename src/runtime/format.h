@@ -22,7 +22,6 @@
 #include "format/shfl_bw.h"
 #include "format/vector_wise.h"
 #include "kernels/conv2d.h"
-#include "kernels/kernel_api.h"
 
 namespace shflbw {
 namespace runtime {
@@ -74,7 +73,7 @@ struct FormatOps {
   const char* name;  // FormatName
   /// The kernel class whose stats model / efficiency calibration times
   /// this format. CSR maps to Sputnik — the stronger of the two
-  /// unstructured baselines (both share RunCsrRowParallel).
+  /// unstructured baselines (both execute as SpmmCsr).
   KernelClass kernel_class;
   /// The one kept density the format can hold, or 0 when any density
   /// in (0, 1] works. 2:4 keeps two of every four weights, so it holds
@@ -91,18 +90,16 @@ struct FormatOps {
                const std::vector<int>& storage_to_original,
                PackedWeight& out);
   /// C = W * act on the format's kernel.
-  KernelResult (*gemm)(const PackedWeight& w, const Matrix<float>& act,
-                       const GpuSpec& spec);
-  /// The stats `gemm` reports for `w` on n activation columns, without
-  /// running it.
+  Matrix<float> (*gemm)(const PackedWeight& w, const Matrix<float>& act);
+  /// The stats model of `gemm` for `w` on n activation columns.
   KernelStats (*gemm_stats)(const PackedWeight& w, int n,
                             const GpuSpec& spec);
   /// Implicit-GEMM convolution and its stats model at (density, v);
   /// conv_stats is nullopt when V does not divide out_c. Both are null
   /// for formats without a conv kernel ("the baselines all lack
   /// implementation for convolution", §6.2).
-  KernelResult (*conv)(const PackedWeight& w, const ConvShape& shape,
-                       const Tensor4& input, const GpuSpec& spec);
+  Matrix<float> (*conv)(const PackedWeight& w, const ConvShape& shape,
+                        const Tensor4& input);
   std::optional<KernelStats> (*conv_stats)(const ConvShape& shape,
                                            double density, int v,
                                            const GpuSpec& spec);

@@ -189,6 +189,7 @@ TEST(ParallelFor, ConcurrentRegionsGetDisjointWorkerPartitions) {
   // their chunks. The partitions must be disjoint: a pool worker serves
   // exactly one region at a time.
   std::atomic<int> regions_started{0};
+  std::atomic<bool> region_running[2] = {false, false};
   shflbw::Mutex mu;
   std::set<std::thread::id> ids[2];
   std::thread::id caller_ids[2];
@@ -196,10 +197,13 @@ TEST(ParallelFor, ConcurrentRegionsGetDisjointWorkerPartitions) {
   for (int t = 0; t < 2; ++t) {
     callers.emplace_back([&, t] {
       caller_ids[t] = std::this_thread::get_id();
-      regions_started.fetch_add(1);
-      // Both callers enter ParallelFor before either can finish: the
-      // first chunk of each region waits for the other region to exist.
+      // A region counts as started once its first chunk runs, i.e. once
+      // it holds its workers; counting before ParallelFor would let one
+      // region finish and release its workers before the other claims
+      // any, and the other could then rightly reuse them. Every chunk
+      // waits for both regions, so neither can finish first.
       ParallelFor(0, 64, 1, [&](std::int64_t, std::int64_t) {
+        if (!region_running[t].exchange(true)) regions_started.fetch_add(1);
         while (regions_started.load() < 2) std::this_thread::yield();
         shflbw::MutexLock lock(mu);
         ids[t].insert(std::this_thread::get_id());

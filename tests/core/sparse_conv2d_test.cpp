@@ -37,7 +37,7 @@ TEST(SparseConv2d, DenseModeMatchesConvKernel) {
   opt.format = Format::kDense;
   const SparseConv2d conv(w, s, opt);
   const Tensor4 input = RandomInput(s, 349);
-  EXPECT_EQ(conv.Forward(input), Conv2dDense(input, w, s, V100()).c);
+  EXPECT_EQ(conv.Forward(input), Conv2dDense(input, w, s));
 }
 
 TEST(SparseConv2d, ShflBwForwardMatchesDenseOnPrunedFilters) {
@@ -50,8 +50,7 @@ TEST(SparseConv2d, ShflBwForwardMatchesDenseOnPrunedFilters) {
   opt.v = 4;
   const SparseConv2d conv(w, s, opt);
   const Tensor4 input = RandomInput(s, 359);
-  EXPECT_EQ(conv.Forward(input),
-            Conv2dDense(input, conv.pruned_weights(), s, V100()).c);
+  EXPECT_EQ(conv.Forward(input), Conv2dDense(input, conv.pruned_weights(), s));
 }
 
 TEST(SparseConv2d, RejectsUnsupportedPatterns) {

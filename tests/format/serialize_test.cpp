@@ -135,6 +135,68 @@ TEST(Serialize, CorruptCountRejectedWithoutAllocatingIt) {
       << "peak RSS grew by more than 64 MB";
 }
 
+/// Deserializes `ss` and expects a shflbw::Error naming `want`.
+template <typename Deserialize>
+void ExpectRejected(std::stringstream& ss, Deserialize deserialize,
+                    const std::string& want) {
+  try {
+    (void)deserialize(ss);
+    ADD_FAILURE() << "a corrupt stream was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
+/// Two groups of V=2 rows over 4 columns keeping 2 + 3 = 5 vectors:
+/// group_col_ptr {0, 2, 5}.
+VectorWiseMatrix FiveKeptVectors() {
+  const Matrix<float> d(4, 4, {1, 0, 2, 0,  //
+                               3, 0, 4, 0,  //
+                               0, 5, 6, 7,  //
+                               0, 8, 9, 1});
+  VectorWiseMatrix m = VectorWiseMatrix::FromDense(d, 2);
+  EXPECT_EQ(m.group_col_ptr, (std::vector<int>{0, 2, 5}));
+  return m;
+}
+
+// An interior slice pointer past the index count must be rejected by
+// name before Validate reads col_idx / block_col_idx through it.
+TEST(Serialize, VectorWiseGroupPointerPastKeptVectorsRejected) {
+  VectorWiseMatrix m = FiveKeptVectors();
+  m.group_col_ptr = {0, 1000, 5};
+  std::stringstream ss;
+  Serialize(m, ss);
+  ExpectRejected(ss, DeserializeVectorWise,
+                 "group_col_ptr 1000 exceeds kept vectors 5 at group 0");
+}
+
+TEST(Serialize, ShflBwGroupPointerPastKeptVectorsRejected) {
+  ShflBwMatrix m;
+  m.vw = FiveKeptVectors();
+  m.vw.group_col_ptr = {0, 1000, 5};
+  m.storage_to_original = {2, 0, 3, 1};
+  std::stringstream ss;
+  Serialize(m, ss);
+  ExpectRejected(ss, DeserializeShflBw,
+                 "group_col_ptr 1000 exceeds kept vectors 5 at group 0");
+}
+
+TEST(Serialize, BsrBlockRowPointerPastNnzBlocksRejected) {
+  // 2x2 blocks over a 4x4 matrix keeping 1 + 2 = 3 blocks.
+  const Matrix<float> d(4, 4, {1, 1, 0, 0,  //
+                               1, 1, 0, 0,  //
+                               2, 2, 3, 3,  //
+                               2, 2, 3, 3});
+  BsrMatrix m = BsrMatrix::FromDense(d, 2);
+  ASSERT_EQ(m.block_row_ptr, (std::vector<int>{0, 1, 3}));
+  m.block_row_ptr = {0, 1000, 3};
+  std::stringstream ss;
+  Serialize(m, ss);
+  ExpectRejected(ss, DeserializeBsr,
+                 "block_row_ptr 1000 exceeds nnz blocks 3 at block-row 0");
+}
+
 TEST(Serialize, FileHelpersRoundTrip) {
   Rng rng(643);
   const ShflBwMatrix m = PruneToShflBw(rng.NormalMatrix(32, 32), 0.25, 8);

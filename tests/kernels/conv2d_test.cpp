@@ -50,7 +50,7 @@ TEST(Conv2d, Im2ColMatchesDirectConvolution) {
   const Tensor4 input = RandomInput(s, 113);
   Rng rng(127);
   const Matrix<float> w = rng.NormalMatrix(s.out_c, s.GemmK());
-  const Matrix<float> out = Conv2dDense(input, w, s, Spec()).c;
+  const Matrix<float> out = Conv2dDense(input, w, s);
 
   // Direct NCHW convolution in fp16-operand/fp32-accumulate arithmetic,
   // accumulating in the same (ci, r, s) order as the im2col rows.
@@ -100,9 +100,8 @@ TEST(Conv2d, ShflBwConvMatchesDenseOnPrunedWeights) {
   Rng rng(137);
   const Matrix<float> w = rng.NormalMatrix(s.out_c, s.GemmK());
   const ShflBwMatrix sparse = PruneToShflBw(w, 0.25, 4);
-  const Matrix<float> sparse_out =
-      Conv2dShflBw(input, sparse, s, Spec()).c;
-  const Matrix<float> ref = Conv2dDense(input, sparse.ToDense(), s, Spec()).c;
+  const Matrix<float> sparse_out = Conv2dShflBw(input, sparse, s);
+  const Matrix<float> ref = Conv2dDense(input, sparse.ToDense(), s);
   EXPECT_EQ(sparse_out, ref);
 }
 

@@ -13,8 +13,6 @@
 namespace shflbw {
 namespace {
 
-const GpuSpec& Spec() { return GetGpuSpec(GpuArch::kV100); }
-
 // (kh/kw, stride, pad, batch)
 using ConvCase = std::tuple<int, int, int, int>;
 
@@ -37,7 +35,7 @@ TEST_P(ConvSweep, ImplicitGemmMatchesDirectConvolution) {
   for (auto& v : input.data) v = static_cast<float>(rng.Normal());
   const Matrix<float> w = rng.NormalMatrix(s.out_c, s.GemmK());
 
-  const Matrix<float> out = Conv2dDense(input, w, s, Spec()).c;
+  const Matrix<float> out = Conv2dDense(input, w, s);
   ASSERT_EQ(out.rows(), s.out_c);
   ASSERT_EQ(out.cols(), s.GemmN());
 
@@ -89,8 +87,8 @@ TEST_P(ConvSweep, SparseConvMatchesDenseOnPrunedFilters) {
   const Matrix<float> w = rng.NormalMatrix(s.out_c, s.GemmK());
   const ShflBwMatrix sparse = PruneToShflBw(w, 0.5, 2);
 
-  EXPECT_EQ(Conv2dShflBw(input, sparse, s, Spec()).c,
-            Conv2dDense(input, sparse.ToDense(), s, Spec()).c);
+  EXPECT_EQ(Conv2dShflBw(input, sparse, s),
+            Conv2dDense(input, sparse.ToDense(), s));
 }
 
 INSTANTIATE_TEST_SUITE_P(

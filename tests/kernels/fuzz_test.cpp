@@ -10,8 +10,8 @@
 #include "kernels/gemm_dense.h"
 #include "kernels/spmm_balanced24.h"
 #include "kernels/spmm_bsr.h"
+#include "kernels/spmm_csr.h"
 #include "kernels/spmm_shfl_bw.h"
-#include "kernels/spmm_sputnik.h"
 #include "kernels/spmm_vector_wise.h"
 #include "prune/balanced24_prune.h"
 #include "prune/block_wise.h"
@@ -21,8 +21,6 @@
 
 namespace shflbw {
 namespace {
-
-const GpuSpec& Spec() { return GetGpuSpec(GpuArch::kV100); }
 
 class KernelFuzz : public ::testing::TestWithParam<int> {};
 
@@ -43,41 +41,38 @@ TEST_P(KernelFuzz, AllKernelsAgreeOnRandomProblem) {
   cfg.pipeline_stages = rng.UniformInt(1, 4);
   cfg.meta_prefetch_stage = 1 << rng.UniformInt(0, 3);
 
-  // Unstructured -> Sputnik.
+  // Unstructured -> CSR (the Sputnik / cuSPARSE execute).
   {
     const Matrix<float> pruned = PruneUnstructured(w, density);
-    EXPECT_EQ(SpmmSputnik(CsrMatrix::FromDense(pruned), b, Spec()).c,
+    EXPECT_EQ(SpmmCsr(CsrMatrix::FromDense(pruned), b),
               GemmReference(pruned, b))
-        << "sputnik m=" << m << " k=" << k << " n=" << n;
+        << "csr m=" << m << " k=" << k << " n=" << n;
   }
   // Vector-wise.
   {
     const Matrix<float> pruned = PruneVectorWise(w, density, v);
     const VectorWiseMatrix vw = VectorWiseMatrix::FromDense(pruned, v);
-    EXPECT_EQ(SpmmVectorWise(vw, b, Spec(), cfg).c,
-              GemmReference(pruned, b))
+    EXPECT_EQ(SpmmVectorWise(vw, b, cfg), GemmReference(pruned, b))
         << "vw v=" << v << " tk=" << cfg.tk << " tn=" << cfg.tn;
   }
   // Shfl-BW through the full search.
   {
     const ShflBwMatrix sm = PruneToShflBw(w, density, v);
-    EXPECT_EQ(SpmmShflBw(sm, b, Spec(), cfg).c,
-              GemmReference(sm.ToDense(), b))
+    EXPECT_EQ(SpmmShflBw(sm, b, cfg), GemmReference(sm.ToDense(), b))
         << "shflbw v=" << v << " density=" << density;
   }
   // Block-wise (needs k % v == 0).
   if (k % v == 0) {
     const Matrix<float> pruned = PruneBlockWise(w, density, v);
-    EXPECT_EQ(SpmmBsr(BsrMatrix::FromDense(pruned, v), b, Spec(), cfg).c,
+    EXPECT_EQ(SpmmBsr(BsrMatrix::FromDense(pruned, v), b),
               GemmReference(pruned, b))
         << "bsr v=" << v;
   }
   // Balanced 2:4.
   {
     const Matrix<float> pruned = PruneBalanced24(w);
-    EXPECT_EQ(
-        SpmmBalanced24(Balanced24Matrix::FromDense(pruned), b, Spec()).c,
-        GemmReference(pruned, b));
+    EXPECT_EQ(SpmmBalanced24(Balanced24Matrix::FromDense(pruned), b),
+              GemmReference(pruned, b));
   }
 }
 

@@ -52,14 +52,6 @@ TEST(GemmReference, Fp32Accumulation) {
   EXPECT_EQ(GemmReference(a, b)(0, 0), 4096.0f);
 }
 
-TEST(GemmDense, TensorCoreAndCudaCoreSameResult) {
-  Rng rng(67);
-  const Matrix<float> a = rng.NormalMatrix(17, 23);
-  const Matrix<float> b = rng.NormalMatrix(23, 9);
-  const GpuSpec& spec = GetGpuSpec(GpuArch::kV100);
-  EXPECT_EQ(GemmTensorCore(a, b, spec).c, GemmCudaCore(a, b, spec).c);
-}
-
 TEST(GemmDenseStats, FlopsAndTraffic) {
   const GpuSpec& spec = GetGpuSpec(GpuArch::kV100);
   const KernelStats s = GemmTensorCoreStats(2048, 128, 2048, spec);

@@ -7,12 +7,12 @@
 
 #include "common/rng.h"
 #include "core/pipeline.h"
+#include "kernels/conv2d.h"
 #include "kernels/gemm_dense.h"
 #include "kernels/spmm_balanced24.h"
 #include "kernels/spmm_bsr.h"
 #include "kernels/spmm_csr.h"
 #include "kernels/spmm_shfl_bw.h"
-#include "kernels/spmm_sputnik.h"
 #include "kernels/spmm_tilewise.h"
 #include "kernels/spmm_vector_sparse.h"
 #include "kernels/spmm_vector_wise.h"
@@ -24,8 +24,6 @@
 
 namespace shflbw {
 namespace {
-
-const GpuSpec& Spec() { return GetGpuSpec(GpuArch::kV100); }
 
 struct SpmmCase {
   int m, n, k;
@@ -48,14 +46,7 @@ TEST_P(SpmmCorrectness, CsrScalarMatchesReference) {
   const Matrix<float> pruned =
       PruneUnstructured(weights_, GetParam().density);
   const CsrMatrix csr = CsrMatrix::FromDense(pruned);
-  EXPECT_EQ(SpmmCsrScalar(csr, b_, Spec()).c, GemmReference(pruned, b_));
-}
-
-TEST_P(SpmmCorrectness, SputnikMatchesReference) {
-  const Matrix<float> pruned =
-      PruneUnstructured(weights_, GetParam().density);
-  const CsrMatrix csr = CsrMatrix::FromDense(pruned);
-  EXPECT_EQ(SpmmSputnik(csr, b_, Spec()).c, GemmReference(pruned, b_));
+  EXPECT_EQ(SpmmCsr(csr, b_), GemmReference(pruned, b_));
 }
 
 TEST_P(SpmmCorrectness, BsrMatchesReference) {
@@ -64,7 +55,7 @@ TEST_P(SpmmCorrectness, BsrMatchesReference) {
   const Matrix<float> pruned =
       PruneBlockWise(weights_, GetParam().density, v);
   const BsrMatrix bsr = BsrMatrix::FromDense(pruned, v);
-  EXPECT_EQ(SpmmBsr(bsr, b_, Spec()).c, GemmReference(pruned, b_));
+  EXPECT_EQ(SpmmBsr(bsr, b_), GemmReference(pruned, b_));
 }
 
 TEST_P(SpmmCorrectness, VectorWiseMatchesReference) {
@@ -73,7 +64,7 @@ TEST_P(SpmmCorrectness, VectorWiseMatchesReference) {
   const Matrix<float> pruned =
       PruneVectorWise(weights_, GetParam().density, v);
   const VectorWiseMatrix vw = VectorWiseMatrix::FromDense(pruned, v);
-  EXPECT_EQ(SpmmVectorWise(vw, b_, Spec()).c, GemmReference(pruned, b_));
+  EXPECT_EQ(SpmmVectorWise(vw, b_), GemmReference(pruned, b_));
 }
 
 TEST_P(SpmmCorrectness, ShflBwMatchesReference) {
@@ -82,7 +73,7 @@ TEST_P(SpmmCorrectness, ShflBwMatchesReference) {
   const ShflBwMatrix m = PruneToShflBw(weights_, GetParam().density, v);
   // The kernel writes rows back in ORIGINAL order; reference runs on the
   // pruned dense matrix in original order.
-  EXPECT_EQ(SpmmShflBw(m, b_, Spec()).c, GemmReference(m.ToDense(), b_));
+  EXPECT_EQ(SpmmShflBw(m, b_), GemmReference(m.ToDense(), b_));
 }
 
 TEST_P(SpmmCorrectness, VectorSparseMatchesReference) {
@@ -91,14 +82,15 @@ TEST_P(SpmmCorrectness, VectorSparseMatchesReference) {
       PruneVectorWise(weights_, GetParam().density, kVectorSparseV);
   const VectorWiseMatrix vw =
       VectorWiseMatrix::FromDense(pruned, kVectorSparseV);
-  EXPECT_EQ(SpmmVectorSparse(vw, b_, Spec()).c, GemmReference(pruned, b_));
+  EXPECT_EQ(SpmmVectorWise(vw, b_, VectorSparseConfig()),
+            GemmReference(pruned, b_));
 }
 
 TEST_P(SpmmCorrectness, Balanced24MatchesReference) {
   if (GetParam().k % 4 != 0) GTEST_SKIP();
   const Matrix<float> pruned = PruneBalanced24(weights_);
   const Balanced24Matrix m = Balanced24Matrix::FromDense(pruned);
-  EXPECT_EQ(SpmmBalanced24(m, b_, Spec()).c, GemmReference(pruned, b_));
+  EXPECT_EQ(SpmmBalanced24(m, b_), GemmReference(pruned, b_));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -115,7 +107,7 @@ TEST(SpmmTilewiseCorrectness, MatchesReference) {
   const Matrix<float> b = rng.NormalMatrix(64, 16);
   const Matrix<float> pruned = PruneVectorWise(w, 0.25, kTilewiseV);
   const VectorWiseMatrix vw = VectorWiseMatrix::FromDense(pruned, kTilewiseV);
-  EXPECT_EQ(SpmmTilewise(vw, b, Spec()).c, GemmReference(pruned, b));
+  EXPECT_EQ(SpmmVectorWise(vw, b, TilewiseConfig()), GemmReference(pruned, b));
 }
 
 TEST(SpmmEdgeCases, EmptySparseMatrixGivesZeros) {
@@ -123,7 +115,7 @@ TEST(SpmmEdgeCases, EmptySparseMatrixGivesZeros) {
   const Matrix<float> b = rng.NormalMatrix(16, 8);
   const VectorWiseMatrix vw =
       VectorWiseMatrix::FromDense(Matrix<float>(16, 16), 4);
-  EXPECT_EQ(SpmmVectorWise(vw, b, Spec()).c, Matrix<float>(16, 8));
+  EXPECT_EQ(SpmmVectorWise(vw, b), Matrix<float>(16, 8));
 }
 
 TEST(SpmmEdgeCases, FullyDenseShflBwMatchesDenseGemm) {
@@ -131,7 +123,7 @@ TEST(SpmmEdgeCases, FullyDenseShflBwMatchesDenseGemm) {
   const Matrix<float> w = rng.NormalMatrix(16, 16);
   const Matrix<float> b = rng.NormalMatrix(16, 8);
   const ShflBwMatrix m = PruneToShflBw(w, 1.0, 4);
-  EXPECT_EQ(SpmmShflBw(m, b, Spec()).c, GemmReference(m.ToDense(), b));
+  EXPECT_EQ(SpmmShflBw(m, b), GemmReference(m.ToDense(), b));
   // At density 1.0 nothing is pruned.
   EXPECT_EQ(m.ToDense(), w);
 }
@@ -141,13 +133,13 @@ TEST(SpmmEdgeCases, SingleColumnActivation) {
   const Matrix<float> w = rng.NormalMatrix(8, 8);
   const Matrix<float> b = rng.NormalMatrix(8, 1);
   const ShflBwMatrix m = PruneToShflBw(w, 0.5, 4);
-  EXPECT_EQ(SpmmShflBw(m, b, Spec()).c, GemmReference(m.ToDense(), b));
+  EXPECT_EQ(SpmmShflBw(m, b), GemmReference(m.ToDense(), b));
 }
 
 TEST(SpmmEdgeCases, ShapeMismatchThrows) {
   const VectorWiseMatrix vw =
       VectorWiseMatrix::FromDense(Matrix<float>(8, 8), 4);
-  EXPECT_THROW(SpmmVectorWise(vw, Matrix<float>(9, 4), Spec()), Error);
+  EXPECT_THROW(SpmmVectorWise(vw, Matrix<float>(9, 4)), Error);
 }
 
 // The reordered write-back property in isolation: permuting the rows of
@@ -171,8 +163,50 @@ TEST(ReorderedWriteBack, PermutationInvariance) {
   const ShflBwMatrix shuffled = ShflBwMatrix::FromDense(pruned, 8, perm);
 
   const Matrix<float> expected = GemmReference(pruned, b);
-  EXPECT_EQ(SpmmShflBw(id, b, Spec()).c, expected);
-  EXPECT_EQ(SpmmShflBw(shuffled, b, Spec()).c, expected);
+  EXPECT_EQ(SpmmShflBw(id, b), expected);
+  EXPECT_EQ(SpmmShflBw(shuffled, b), expected);
+}
+
+// The GpuSpec overloads kept for callers that want both halves at once
+// return exactly the execute's output and the stats model's counts.
+void ExpectSameStats(const KernelStats& got, const KernelStats& want) {
+  EXPECT_EQ(got.kernel_name, want.kernel_name);
+  EXPECT_EQ(got.useful_flops, want.useful_flops);
+  EXPECT_EQ(got.issued_macs, want.issued_macs);
+  EXPECT_EQ(got.dram_read_bytes, want.dram_read_bytes);
+  EXPECT_EQ(got.l2_read_bytes, want.l2_read_bytes);
+  EXPECT_EQ(got.threadblocks, want.threadblocks);
+}
+
+TEST(GpuSpecOverloads, PairTheExecuteWithItsStatsModel) {
+  const GpuSpec& spec = GetGpuSpec(GpuArch::kT4);
+  Rng rng(101);
+  const Matrix<float> w = rng.NormalMatrix(32, 48);
+  const Matrix<float> b = rng.NormalMatrix(48, 20);
+
+  const ShflBwMatrix sm = PruneToShflBw(w, 0.25, 8);
+  const KernelResult shfl = SpmmShflBw(sm, b, spec);
+  EXPECT_EQ(shfl.c, SpmmShflBw(sm, b));
+  ExpectSameStats(shfl.stats, SpmmShflBwStats(sm, b.cols(), spec));
+
+  const VectorWiseMatrix vw =
+      VectorWiseMatrix::FromDense(PruneVectorWise(w, 0.25, 8), 8);
+  const KernelResult vec = SpmmVectorWise(vw, b, spec);
+  EXPECT_EQ(vec.c, SpmmVectorWise(vw, b));
+  ExpectSameStats(vec.stats, SpmmVectorWiseStats(vw, b.cols(), spec));
+
+  ConvShape shape;
+  shape.in_c = 3;
+  shape.in_h = shape.in_w = 6;
+  shape.out_c = 8;
+  shape.kh = shape.kw = 3;
+  shape.pad = 1;
+  Tensor4 input(1, 3, 6, 6);
+  for (float& x : input.data) x = static_cast<float>(rng.Normal());
+  const Matrix<float> filters = rng.NormalMatrix(8, shape.GemmK());
+  const KernelResult conv = Conv2dDense(input, filters, shape, spec);
+  EXPECT_EQ(conv.c, Conv2dDense(input, filters, shape));
+  ExpectSameStats(conv.stats, Conv2dDenseStats(shape, spec));
 }
 
 }  // namespace

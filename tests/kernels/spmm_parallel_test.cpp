@@ -14,7 +14,6 @@
 #include "kernels/spmm_bsr.h"
 #include "kernels/spmm_csr.h"
 #include "kernels/spmm_shfl_bw.h"
-#include "kernels/spmm_sputnik.h"
 #include "kernels/spmm_tilewise.h"
 #include "kernels/spmm_vector_sparse.h"
 #include "kernels/spmm_vector_wise.h"
@@ -67,30 +66,20 @@ TEST_P(SpmmParallelDeterminism, VectorWise) {
   const Matrix<float> pruned =
       PruneVectorWise(weights_, GetParam().density, 8);
   const VectorWiseMatrix vw = VectorWiseMatrix::FromDense(pruned, 8);
-  ExpectThreadCountInvariant(
-      [&] { return SpmmVectorWise(vw, b_, Spec()).c; }, "vector-wise");
+  ExpectThreadCountInvariant([&] { return SpmmVectorWise(vw, b_); },
+                             "vector-wise");
 }
 
 TEST_P(SpmmParallelDeterminism, ShflBw) {
   const ShflBwMatrix m = PruneToShflBw(weights_, GetParam().density, 8);
-  ExpectThreadCountInvariant([&] { return SpmmShflBw(m, b_, Spec()).c; },
-                             "shfl-bw");
+  ExpectThreadCountInvariant([&] { return SpmmShflBw(m, b_); }, "shfl-bw");
 }
 
 TEST_P(SpmmParallelDeterminism, CsrScalar) {
   const Matrix<float> pruned =
       PruneUnstructured(weights_, GetParam().density);
   const CsrMatrix csr = CsrMatrix::FromDense(pruned);
-  ExpectThreadCountInvariant([&] { return SpmmCsrScalar(csr, b_, Spec()).c; },
-                             "csr-scalar");
-}
-
-TEST_P(SpmmParallelDeterminism, Sputnik) {
-  const Matrix<float> pruned =
-      PruneUnstructured(weights_, GetParam().density);
-  const CsrMatrix csr = CsrMatrix::FromDense(pruned);
-  ExpectThreadCountInvariant([&] { return SpmmSputnik(csr, b_, Spec()).c; },
-                             "sputnik");
+  ExpectThreadCountInvariant([&] { return SpmmCsr(csr, b_); }, "csr-scalar");
 }
 
 TEST_P(SpmmParallelDeterminism, Bsr) {
@@ -98,15 +87,14 @@ TEST_P(SpmmParallelDeterminism, Bsr) {
   const Matrix<float> pruned =
       PruneBlockWise(weights_, GetParam().density, 8);
   const BsrMatrix bsr = BsrMatrix::FromDense(pruned, 8);
-  ExpectThreadCountInvariant([&] { return SpmmBsr(bsr, b_, Spec()).c; },
-                             "bsr");
+  ExpectThreadCountInvariant([&] { return SpmmBsr(bsr, b_); }, "bsr");
 }
 
 TEST_P(SpmmParallelDeterminism, Balanced24) {
   if (GetParam().k % 4 != 0) GTEST_SKIP();
   const Matrix<float> pruned = PruneBalanced24(weights_);
   const Balanced24Matrix m = Balanced24Matrix::FromDense(pruned);
-  ExpectThreadCountInvariant([&] { return SpmmBalanced24(m, b_, Spec()).c; },
+  ExpectThreadCountInvariant([&] { return SpmmBalanced24(m, b_); },
                              "balanced-2:4");
 }
 
@@ -116,7 +104,8 @@ TEST_P(SpmmParallelDeterminism, VectorSparse) {
   const VectorWiseMatrix vw =
       VectorWiseMatrix::FromDense(pruned, kVectorSparseV);
   ExpectThreadCountInvariant(
-      [&] { return SpmmVectorSparse(vw, b_, Spec()).c; }, "vector-sparse");
+      [&] { return SpmmVectorWise(vw, b_, VectorSparseConfig()); },
+      "vector-sparse");
 }
 
 TEST_P(SpmmParallelDeterminism, DenseGemm) {
@@ -143,8 +132,8 @@ TEST(SpmmParallelDeterminismTilewise, MatchesAcrossThreadCounts) {
   const Matrix<float> b = rng.NormalMatrix(96, 40);
   const Matrix<float> pruned = PruneVectorWise(w, 0.25, kTilewiseV);
   const VectorWiseMatrix vw = VectorWiseMatrix::FromDense(pruned, kTilewiseV);
-  ExpectThreadCountInvariant([&] { return SpmmTilewise(vw, b, Spec()).c; },
-                             "tilewise");
+  ExpectThreadCountInvariant(
+      [&] { return SpmmVectorWise(vw, b, TilewiseConfig()); }, "tilewise");
   SetParallelThreads(0);
 }
 

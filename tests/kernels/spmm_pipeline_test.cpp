@@ -10,8 +10,6 @@
 namespace shflbw {
 namespace {
 
-const GpuSpec& Spec() { return GetGpuSpec(GpuArch::kV100); }
-
 std::vector<PipelineEvent> TraceFor(int m, int k, double density,
                                     const TileConfig& cfg) {
   Rng rng(101);
@@ -19,7 +17,7 @@ std::vector<PipelineEvent> TraceFor(int m, int k, double density,
   const ShflBwMatrix sm = PruneToShflBw(w, density, 8);
   const Matrix<float> b = rng.NormalMatrix(k, 16);
   std::vector<PipelineEvent> trace;
-  SpmmShflBwTraced(sm, b, Spec(), cfg, trace);
+  SpmmShflBw(sm, b, cfg, &trace);
   return trace;
 }
 
@@ -80,14 +78,14 @@ TEST(Pipeline, ResultsIndependentOfPipelineDepth) {
   base.tk = 8;
   base.pipeline_stages = 1;
   base.meta_prefetch_stage = 1;
-  const Matrix<float> ref = SpmmShflBw(sm, b, Spec(), base).c;
+  const Matrix<float> ref = SpmmShflBw(sm, b, base);
   for (int stages : {2, 3, 5}) {
     for (int meta : {1, 2, 4, 16}) {
       TileConfig cfg;
       cfg.tk = 8;
       cfg.pipeline_stages = stages;
       cfg.meta_prefetch_stage = meta;
-      EXPECT_EQ(SpmmShflBw(sm, b, Spec(), cfg).c, ref)
+      EXPECT_EQ(SpmmShflBw(sm, b, cfg), ref)
           << "stages=" << stages << " meta=" << meta;
     }
   }
@@ -99,13 +97,13 @@ TEST(Pipeline, ResultsIndependentOfTileSizes) {
   const ShflBwMatrix sm = PruneToShflBw(w, 0.3, 16);
   const Matrix<float> b = rng.NormalMatrix(96, 40);
   TileConfig base;
-  const Matrix<float> ref = SpmmShflBw(sm, b, Spec(), base).c;
+  const Matrix<float> ref = SpmmShflBw(sm, b, base);
   for (int tk : {1, 2, 4, 8, 16, 32}) {
     for (int tn : {8, 16, 64, 128}) {
       TileConfig cfg;
       cfg.tk = tk;
       cfg.tn = tn;
-      EXPECT_EQ(SpmmShflBw(sm, b, Spec(), cfg).c, ref)
+      EXPECT_EQ(SpmmShflBw(sm, b, cfg), ref)
           << "tk=" << tk << " tn=" << tn;
     }
   }
@@ -118,10 +116,10 @@ TEST(Pipeline, InvalidConfigRejected) {
   const Matrix<float> b = rng.NormalMatrix(16, 4);
   TileConfig cfg;
   cfg.pipeline_stages = 0;
-  EXPECT_THROW(SpmmShflBw(sm, b, Spec(), cfg), Error);
+  EXPECT_THROW(SpmmShflBw(sm, b, cfg), Error);
   cfg = TileConfig{};
   cfg.tk = 0;
-  EXPECT_THROW(SpmmShflBw(sm, b, Spec(), cfg), Error);
+  EXPECT_THROW(SpmmShflBw(sm, b, cfg), Error);
 }
 
 }  // namespace

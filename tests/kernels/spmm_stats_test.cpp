@@ -6,8 +6,8 @@
 #include "kernels/gemm_dense.h"
 #include "kernels/spmm_balanced24.h"
 #include "kernels/spmm_bsr.h"
+#include "kernels/spmm_csr.h"
 #include "kernels/spmm_shfl_bw.h"
-#include "kernels/spmm_sputnik.h"
 #include "kernels/spmm_tilewise.h"
 #include "kernels/spmm_vector_sparse.h"
 

@@ -215,6 +215,69 @@ TEST(RunBatched, SteadyStatePacksNothingAndReportsFusedWork) {
                    4.0 * single.layers[0].useful_flops);
 }
 
+/// Weight values `w` stores, counted from its packed representation:
+/// m·k for dense, nnz for CSR, blocks·V² for BSR, m·k/2 for 2:4 and
+/// kept vectors·V for VW and Shfl-BW.
+double StoredValues(const PackedWeight& w) {
+  switch (w.format) {
+    case Format::kDense:
+      return static_cast<double>(w.dense.size());
+    case Format::kCsr:
+      return w.csr.Nnz();
+    case Format::kBsr:
+      return static_cast<double>(w.bsr.NnzBlocks()) * w.bsr.block_size *
+             w.bsr.block_size;
+    case Format::kBalanced24:
+      return 0.5 * w.balanced24.rows * w.balanced24.cols;
+    case Format::kVectorWise:
+      return static_cast<double>(w.vw.KeptVectors()) * w.vw.v;
+    case Format::kShflBw:
+      return static_cast<double>(w.shflbw.vw.KeptVectors()) * w.shflbw.v();
+  }
+  return 0;
+}
+
+// Each layer record's useful FLOPs come from the format's stats model;
+// they must equal 2 x stored values x fused N on GEMM and conv layers.
+TEST(RunBatched, UsefulFlopsAreTwiceStoredValuesTimesFusedN) {
+  constexpr int kWidth = 3;
+  TransformerConfig cfg;
+  cfg.d_model = 64;
+  cfg.d_ff = 128;
+  cfg.batch_tokens = 32;
+  cfg.encoder_layers = 1;
+  cfg.decoder_layers = 1;
+  ModelDesc resnet = ModelDesc::ResNet50(ResNet50Config{1, 32});
+  // Only the first bottleneck stage: the Shfl-BW mask search over the
+  // later stages' 2048-row filters takes about a minute.
+  resnet.layers.resize(3);
+  for (const ModelDesc& model : {ModelDesc::Transformer(cfg), resnet}) {
+    const bool conv = model.layers.front().kind == LayerKind::kConv;
+    for (Format format : AllFormats()) {
+      if (conv && Ops(format).conv == nullptr) continue;
+      auto cache = std::make_shared<PackedWeightCache>();
+      Engine engine(model, ForcedOptions(format), cache);
+      const BatchRunResult run = engine.RunBatched(Seeds(kWidth));
+      ASSERT_EQ(run.layers.size(), model.layers.size());
+      for (std::size_t i = 0; i < model.layers.size(); ++i) {
+        const LayerPlan& lp = engine.Plan().layers[i];
+        const PackedWeight& w = cache->GetOrPack(
+            static_cast<int>(i), lp.format,
+            []() -> const Matrix<float>& {
+              throw Error("the run did not pack this layer");
+            },
+            lp.density, lp.v);
+        ASSERT_EQ(w.format, format);
+        const double fused_n =
+            static_cast<double>(model.layers[i].GemmN()) * kWidth;
+        EXPECT_EQ(run.layers[i].useful_flops,
+                  2.0 * StoredValues(w) * fused_n)
+            << model.name << " " << lp.name << " as " << FormatName(format);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace runtime
 }  // namespace shflbw
