@@ -22,7 +22,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <functional>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -40,6 +39,8 @@
 #include "kernels/layernorm_fuse.h"
 #include "kernels/spmm_csr.h"
 #include "kernels/spmm_shfl_bw.h"
+#include "kernels/spmm_tilewise.h"
+#include "kernels/spmm_vector_sparse.h"
 #include "kernels/spmm_vector_wise.h"
 #include "model/gnmt.h"
 #include "model/resnet50.h"
@@ -306,9 +307,7 @@ void Fig2(Section& s) {
   // (GNMT is the pattern-sensitive model). Orderings are calibration-free.
   constexpr double kDenseBleu = 24.6;
   constexpr double kSensitivity = 0.52;
-  const GpuSpec& spec = GetGpuSpec(GpuArch::kV100);
-  const auto layers = GnmtLayers();
-  const auto counts = GnmtLayerCounts();
+  const runtime::ModelDesc gnmt = runtime::ModelDesc::Gnmt();
   const auto weights = GnmtProxyWeights();
 
   bench::Title(
@@ -339,8 +338,7 @@ void Fig2(Section& s) {
       const QualityResult q = EvaluateQuality(
           weights, c.format, density, c.v, kDenseBleu, kSensitivity);
       const auto perf =
-          EvaluateGemmModel(layers, counts, runtime::Ops(c.format).kernel_class,
-                            density, c.v, spec);
+          EvaluateModel(gnmt, c.format, density, c.v, GpuArch::kV100);
       t.Add(Fmt("%-18s %8.0f%%", c.name, sparsity * 100),
             {q.proxy_score,
              perf ? std::optional<double>(perf->speedup) : std::nullopt});
@@ -378,36 +376,78 @@ void Fig2(Section& s) {
 //    dense baseline and our VW / Shfl-BW kernels;
 //  * Tilewise and VectorSparse were compiled on V100 only;
 //  * balanced 2:4 exists only on A100 at 50%.
+// A row with a runtime format is timed exactly as the planner times it.
+// The three baselines the runtime cannot select model GEMM layers with
+// their own stats model and V rule.
+using BaselineStats = std::optional<KernelStats> (*)(const GemmLayerSpec& l,
+                                                     double density,
+                                                     const GpuSpec& spec);
+
+std::optional<KernelStats> CsrScalarBaseline(const GemmLayerSpec& l,
+                                             double density,
+                                             const GpuSpec& spec) {
+  return SpmmCsrScalarStats(l.m, l.n, l.k, density * l.m * l.k, spec);
+}
+
+std::optional<KernelStats> VectorSparseBaseline(const GemmLayerSpec& l,
+                                                double density,
+                                                const GpuSpec& spec) {
+  if (l.m % kVectorSparseV != 0) return std::nullopt;
+  return SpmmVectorSparseStats(l.m, l.n, l.k, density, spec);
+}
+
+std::optional<KernelStats> TilewiseBaseline(const GemmLayerSpec& l,
+                                            double density,
+                                            const GpuSpec& spec) {
+  if (l.m % kTilewiseV != 0) return std::nullopt;
+  return SpmmTilewiseStats(l.m, l.n, l.k, density, spec);
+}
+
 struct Fig6Row {
   const char* name;
-  KernelClass klass;
+  std::optional<runtime::Format> format;  // nullopt: `baseline` times it
+  BaselineStats baseline;
   int v;
   bool v100_only;  // Tilewise / VectorSparse baselines
 };
 
 const std::vector<Fig6Row> kFig6Rows{
-    {"cuSPARSE (unstr.)", KernelClass::kCsrScalar, 32, false},
-    {"Sputnik (unstr.)", KernelClass::kSputnik, 32, false},
-    {"VectorSparse VW,V=8", KernelClass::kVectorSparse, 8, true},
-    {"Tilewise VW,V=128", KernelClass::kTilewise, 128, true},
-    {"cuSPARSE BW,V=32", KernelClass::kBsrTensorCore, 32, false},
-    {"cuSPARSE BW,V=64", KernelClass::kBsrTensorCore, 64, false},
-    {"Ours VW,V=32", KernelClass::kVectorWiseTensorCore, 32, false},
-    {"Ours VW,V=64", KernelClass::kVectorWiseTensorCore, 64, false},
-    {"Shfl-BW,V=32", KernelClass::kShflBwTensorCore, 32, false},
-    {"Shfl-BW,V=64", KernelClass::kShflBwTensorCore, 64, false},
-    {"Balanced 2:4", KernelClass::kBalanced24, 4, false},
+    {"cuSPARSE (unstr.)", std::nullopt, CsrScalarBaseline, 32, false},
+    {"Sputnik (unstr.)", runtime::Format::kCsr, nullptr, 32, false},
+    {"VectorSparse VW,V=8", std::nullopt, VectorSparseBaseline, 8, true},
+    {"Tilewise VW,V=128", std::nullopt, TilewiseBaseline, 128, true},
+    {"cuSPARSE BW,V=32", runtime::Format::kBsr, nullptr, 32, false},
+    {"cuSPARSE BW,V=64", runtime::Format::kBsr, nullptr, 64, false},
+    {"Ours VW,V=32", runtime::Format::kVectorWise, nullptr, 32, false},
+    {"Ours VW,V=64", runtime::Format::kVectorWise, nullptr, 64, false},
+    {"Shfl-BW,V=32", runtime::Format::kShflBw, nullptr, 32, false},
+    {"Shfl-BW,V=64", runtime::Format::kShflBw, nullptr, 64, false},
+    {"Balanced 2:4", runtime::Format::kBalanced24, nullptr, 4, false},
 };
 
 const std::vector<double> kFig6Sparsities{0.50, 0.75, 0.85, 0.95};
 
-/// Modelled whole-model speedup of a kernel class at (density, V), or
-/// nullopt where it cannot run.
-using ModelEval =
-    std::function<std::optional<ModelSpeedup>(KernelClass, double, int)>;
+/// Modelled whole-model speedup of `row` at kept density `density`, or
+/// nullopt where its kernel cannot run some layer.
+std::optional<ModelSpeedup> Fig6Cell(const Fig6Row& row,
+                                     const runtime::ModelDesc& model,
+                                     double density, const GpuSpec& spec) {
+  if (row.format) {
+    return EvaluateModel(model, *row.format, density, row.v, spec.arch);
+  }
+  return EvaluateModel(
+      model,
+      [&](const runtime::LayerDesc& l) -> std::optional<double> {
+        if (l.kind != runtime::LayerKind::kGemm) return std::nullopt;
+        const auto stats = row.baseline(l.gemm, density, spec);
+        if (!stats) return std::nullopt;
+        return CostModel(spec).Seconds(*stats);
+      },
+      spec.arch);
+}
 
-void Fig6Panel(Section& s, const GpuSpec& spec, const std::string& model,
-               const std::string& title, const ModelEval& eval) {
+void Fig6Panel(Section& s, const GpuSpec& spec,
+               const runtime::ModelDesc& model, const std::string& title) {
   bench::Section(spec.name + " / " + title);
   std::printf("%-22s", "kernel \\ sparsity");
   std::vector<std::string> names;
@@ -416,12 +456,13 @@ void Fig6Panel(Section& s, const GpuSpec& spec, const std::string& model,
     names.push_back(Fixed(sp * 100, 0) + "%");
   }
   std::printf("\n");
-  Table& t = s.AddTable(spec.name + "_" + model, Columns(names, 7, 2, "x"));
+  Table& t = s.AddTable(spec.name + "_" + model.name,
+                        Columns(names, 7, 2, "x"));
   for (const Fig6Row& row : kFig6Rows) {
     if (row.v100_only && spec.arch != GpuArch::kV100) continue;
     std::vector<std::optional<double>> cells;
     for (double sp : kFig6Sparsities) {
-      const auto r = eval(row.klass, 1.0 - sp, row.v);
+      const auto r = Fig6Cell(row, model, 1.0 - sp, spec);
       cells.push_back(r ? std::optional<double>(r->speedup) : std::nullopt);
     }
     t.Add(Fmt("%-22s", row.name), cells);
@@ -433,27 +474,14 @@ void Fig6(Section& s) {
       "Figure 6 — speedup over dense baseline, 3 GPUs x 3 models\n"
       "(paper headline: Shfl-BW V=64 @75% on Transformer = 1.81x V100, "
       "4.18x T4, 1.90x A100)");
-  const auto transformer = TransformerLayers();
-  const auto transformer_counts = TransformerLayerCounts();
-  const auto gnmt = GnmtLayers();
-  const auto gnmt_counts = GnmtLayerCounts();
-  const auto resnet = ResNet50Layers();
+  const runtime::ModelDesc transformer = runtime::ModelDesc::Transformer();
+  const runtime::ModelDesc gnmt = runtime::ModelDesc::Gnmt();
+  const runtime::ModelDesc resnet = runtime::ModelDesc::ResNet50();
   for (const GpuSpec& spec : AllGpus()) {
-    Fig6Panel(s, spec, "transformer", "Transformer",
-              [&](KernelClass k, double density, int v) {
-                return EvaluateGemmModel(transformer, transformer_counts, k,
-                                         density, v, spec);
-              });
-    Fig6Panel(s, spec, "gnmt", "GNMT",
-              [&](KernelClass k, double density, int v) {
-                return EvaluateGemmModel(gnmt, gnmt_counts, k, density, v,
-                                         spec);
-              });
-    Fig6Panel(s, spec, "resnet50",
-              "ResNet50 (conv — baselines lack conv kernels)",
-              [&](KernelClass k, double density, int v) {
-                return EvaluateConvModel(resnet, k, density, v, spec);
-              });
+    Fig6Panel(s, spec, transformer, "Transformer");
+    Fig6Panel(s, spec, gnmt, "GNMT");
+    Fig6Panel(s, spec, resnet,
+              "ResNet50 (conv — baselines lack conv kernels)");
   }
 
   bench::Section("Headline check (Shfl-BW V=64, 75% sparsity, Transformer)");
@@ -461,9 +489,8 @@ void Fig6(Section& s) {
     const double paper = spec.arch == GpuArch::kV100 ? 1.81
                          : spec.arch == GpuArch::kT4 ? 4.18
                                                      : 1.90;
-    const auto r = EvaluateGemmModel(transformer, transformer_counts,
-                                     KernelClass::kShflBwTensorCore, 0.25, 64,
-                                     spec);
+    const auto r = EvaluateModel(transformer, runtime::Format::kShflBw, 0.25,
+                                 64, spec.arch);
     const std::string got = Fixed(r->speedup, 2);
     std::printf("%-6s modelled %5sx (paper: %sx)\n", spec.name.c_str(),
                 got.c_str(), Fixed(paper, 2).c_str());
@@ -1214,12 +1241,11 @@ void Extension(Section& s) {
       "see docs/REPRODUCTION.md.");
   struct ModelRow {
     const char* name;
-    std::vector<GemmLayerSpec> layers;
-    std::vector<int> counts;
+    runtime::ModelDesc model;
   };
   const ModelRow models[2] = {
-      {"Transformer", TransformerLayers(), TransformerLayerCounts()},
-      {"GNMT", GnmtLayers(), GnmtLayerCounts()},
+      {"Transformer", runtime::ModelDesc::Transformer()},
+      {"GNMT", runtime::ModelDesc::Gnmt()},
   };
   std::vector<const Table*> panels;
   for (const GpuSpec& spec : ExtensionAccelerators()) {
@@ -1241,9 +1267,8 @@ void Extension(Section& s) {
     for (const ModelRow& r : models) {
       std::vector<std::optional<double>> cells;
       for (double sparsity : {0.50, 0.75, 0.85, 0.95}) {
-        cells.push_back(EvaluateGemmModel(r.layers, r.counts,
-                                          KernelClass::kShflBwTensorCore,
-                                          1.0 - sparsity, 64, spec)
+        cells.push_back(EvaluateModel(r.model, runtime::Format::kShflBw,
+                                      1.0 - sparsity, 64, spec.arch)
                             ->speedup);
       }
       t.Add(Fmt("%-14s", r.name), cells);

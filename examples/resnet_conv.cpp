@@ -7,7 +7,6 @@
 #include "common/rng.h"
 #include "core/evaluator.h"
 #include "core/sparse_conv2d.h"
-#include "model/resnet50.h"
 
 using namespace shflbw;
 
@@ -53,9 +52,9 @@ int main() {
   for (double sparsity : {0.50, 0.75, 0.85, 0.95}) {
     std::printf("%8.0f%% ", sparsity * 100);
     for (const GpuSpec& spec : AllGpus()) {
-      const auto r = EvaluateConvModel(ResNet50Layers(),
-                                       KernelClass::kShflBwTensorCore,
-                                       1.0 - sparsity, 32, spec);
+      const auto r = EvaluateModel(runtime::ModelDesc::ResNet50(),
+                                   runtime::Format::kShflBw, 1.0 - sparsity,
+                                   32, spec.arch);
       std::printf(" %8.2fx", r->speedup);
     }
     std::printf("\n");

@@ -1,18 +1,20 @@
 // Model-level evaluation: the machinery behind the Fig. 2 / Fig. 6 /
 // Table 1 benches. Times whole models (sum of compute-intensive layers,
-// §6.1) under every kernel class, and scores pruned-model quality with
-// the retained-importance proxy (docs/REPRODUCTION.md §2).
+// §6.1) with the planner's per-layer model, ModeledLayerSeconds, so a
+// figure's bar and a plan's modelled time are one computation; scores
+// pruned-model quality with the retained-importance proxy
+// (docs/REPRODUCTION.md §2).
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "arch/gpu_spec.h"
-#include "arch/kernel_stats.h"
 #include "common/matrix.h"
-#include "model/layer_spec.h"
 #include "runtime/format.h"
+#include "runtime/model_desc.h"
 
 namespace shflbw {
 
@@ -32,22 +34,27 @@ struct ModelSpeedup {
   std::vector<LayerTiming> layers;
 };
 
-/// Times a GEMM model (Transformer / GNMT) under `klass` at the given
-/// density and V on `spec`, weighting each layer by its occurrence
-/// count. nullopt if the class cannot run some layer (e.g. 2:4 off-A100
-/// or at density != 0.5).
-std::optional<ModelSpeedup> EvaluateGemmModel(
-    const std::vector<GemmLayerSpec>& layers, const std::vector<int>& counts,
-    KernelClass klass, double density, int v, const GpuSpec& spec);
+/// Modelled seconds of one invocation of a layer, or nullopt where the
+/// kernel cannot run it.
+using LayerSecondsFn =
+    std::function<std::optional<double>(const runtime::LayerDesc&)>;
 
-/// Times a convolution model (ResNet50). Only the runtime formats whose
-/// runtime::Ops entry has a conv kernel — the dense baseline and our VW
-/// / Shfl-BW kernels ("the baselines all lack implementation for
-/// convolution", §6.2) — time it; other classes return nullopt, as do
-/// VW / Shfl-BW when V does not divide some layer's out_c.
-std::optional<ModelSpeedup> EvaluateConvModel(
-    const std::vector<ConvLayerSpec>& layers, KernelClass klass,
-    double density, int v, const GpuSpec& spec);
+/// Times `model` with `sparse_seconds` against the dense baseline on
+/// `arch`, weighting each layer by its repeat count. nullopt if
+/// `sparse_seconds` cannot run some layer.
+std::optional<ModelSpeedup> EvaluateModel(const runtime::ModelDesc& model,
+                                          const LayerSecondsFn& sparse_seconds,
+                                          GpuArch arch);
+
+/// The same for `format` at (density, v): each layer's seconds are
+/// runtime::ModeledLayerSeconds. nullopt where the format cannot run
+/// some layer — 2:4 off the A100 or at a density other than 0.5, a V
+/// that does not divide m, or a conv layer on a format without a conv
+/// kernel ("the baselines all lack implementation for convolution",
+/// §6.2).
+std::optional<ModelSpeedup> EvaluateModel(const runtime::ModelDesc& model,
+                                          runtime::Format format,
+                                          double density, int v, GpuArch arch);
 
 // ---------------------------------------------------------------------
 // Quality proxy (Table 1 / Fig. 2).

@@ -35,7 +35,8 @@ KernelStats SparseConv2d::Stats(const GpuSpec& spec) const {
   // Never nullopt here: dense has no V, and the constructor's VW-family
   // prune already required V to divide out_c.
   return *runtime::Ops(options_.format)
-              .conv_stats(shape_, options_.density, options_.v, spec);
+              .conv_model(shape_, options_.density, options_.v, spec)
+              .stats;
 }
 
 TimeBreakdown SparseConv2d::ModelTime(const GpuSpec& spec) const {

@@ -31,14 +31,8 @@ KernelResult SpmmShflBw(const ShflBwMatrix& a, const Matrix<float>& b,
 
 /// Stats-only model for a layer of shape (m, n, k) pruned to Shfl-BW with
 /// vector size v at stored density `alpha` (kept vectors spread evenly
-/// across groups) — used by the Fig. 2/6 layer sweeps.
+/// across groups) — SpmmVectorWiseStats plus the row-index metadata.
 KernelStats SpmmShflBwStats(int m, int n, int k, double alpha, int v,
                             const GpuSpec& spec, const TileConfig& cfg = {});
-
-/// Same, for our vector-wise kernel (identical except no row-index
-/// metadata).
-KernelStats SpmmVectorWiseStats(int m, int n, int k, double alpha, int v,
-                                const GpuSpec& spec,
-                                const TileConfig& cfg = {});
 
 }  // namespace shflbw

@@ -13,12 +13,10 @@ TileConfig VectorSparseConfig() {
 
 KernelStats SpmmVectorSparseStats(int m, int n, int k, double alpha,
                                   const GpuSpec& spec) {
-  const int groups = m / kVectorSparseV;
-  const int per_group =
-      static_cast<int>(std::llround(alpha * static_cast<double>(k)));
-  std::vector<int> kept(static_cast<std::size_t>(groups), per_group);
-  return VwFamilyStats(m, n, k, kept, kVectorSparseV, spec,
-                       VectorSparseConfig(), KernelClass::kVectorSparse,
+  return VwFamilyStats(m, n, k,
+                       UniformKeptPerGroup(m, k, alpha, kVectorSparseV),
+                       kVectorSparseV, spec, VectorSparseConfig(),
+                       KernelClass::kVectorSparse,
                        /*extra_metadata_bytes=*/0.0);
 }
 

@@ -1,6 +1,7 @@
 #include "kernels/spmm_vector_wise.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 
@@ -295,6 +296,21 @@ KernelStats SpmmVectorWiseStats(const VectorWiseMatrix& a, int n,
 KernelResult SpmmVectorWise(const VectorWiseMatrix& a, const Matrix<float>& b,
                             const GpuSpec& spec) {
   return {SpmmVectorWise(a, b), SpmmVectorWiseStats(a, b.cols(), spec)};
+}
+
+KernelStats SpmmVectorWiseStats(int m, int n, int k, double alpha, int v,
+                                const GpuSpec& spec, const TileConfig& cfg) {
+  return VwFamilyStats(m, n, k, UniformKeptPerGroup(m, k, alpha, v), v, spec,
+                       cfg, KernelClass::kVectorWiseTensorCore,
+                       /*extra_metadata_bytes=*/0.0);
+}
+
+std::vector<int> UniformKeptPerGroup(int m, int k, double alpha, int v) {
+  SHFLBW_CHECK_MSG(v > 0 && m % v == 0,
+                   "m=" << m << " not divisible by v=" << v);
+  const int per_group =
+      static_cast<int>(std::llround(alpha * static_cast<double>(k)));
+  return std::vector<int>(static_cast<std::size_t>(m / v), per_group);
 }
 
 }  // namespace shflbw

@@ -26,6 +26,18 @@ KernelStats SpmmVectorWiseStats(const VectorWiseMatrix& a, int n,
 KernelResult SpmmVectorWise(const VectorWiseMatrix& a, const Matrix<float>& b,
                             const GpuSpec& spec);
 
+/// Stats-only model of SpmmVectorWise for a layer of shape (m, n, k)
+/// pruned to vector size v at stored density `alpha`, with the kept
+/// vectors spread evenly across groups (UniformKeptPerGroup).
+KernelStats SpmmVectorWiseStats(int m, int n, int k, double alpha, int v,
+                                const GpuSpec& spec,
+                                const TileConfig& cfg = {});
+
+/// Kept vectors per row group of an m x k layer at stored density
+/// `alpha`, spread evenly: m/v groups of round(alpha * k) columns each.
+/// Throws shflbw::Error when v does not divide m.
+std::vector<int> UniformKeptPerGroup(int m, int k, double alpha, int v);
+
 /// Shared VW-family stats model: v-tall dense tiles over kept vectors.
 /// kept_per_group holds the number of kept columns of each row group;
 /// extra_metadata_bytes covers kernel-specific additions (the Shfl-BW

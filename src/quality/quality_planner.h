@@ -1,25 +1,26 @@
-// Quality-aware constrained planning: the accuracy half of the paper's
+// Quality-aware selection: the accuracy half of the paper's
 // accuracy-vs-speed trade-off (Table 1) wired into the runtime planner.
 //
-// Where the speed-only planner ranks formats at one global (density, V)
-// and picks the fastest, this pass searches a per-layer ladder of
-// (format, density, V) candidates, scores each candidate's mask with
-// the QualityEvaluator (retained-score ratio — the Table 1 proxy), and
-// picks the LATENCY-MINIMAL candidate that still meets the caller's
-// quality floor. Dense (ratio 1.0) is always a candidate, so every
-// layer has a fallback and the search never fails: an unreachable
-// floor simply degrades the plan toward all-dense.
+// PlanModel (runtime/planner.h) enumerates each layer's (format,
+// density, V) candidates with one search for every kind of plan; with
+// options.quality enabled it searches the density and V ladders, scores
+// each candidate's mask with the QualityEvaluator (retained-score ratio
+// — the Table 1 proxy), and picks LATENCY-MINIMAL candidates that still
+// meet the caller's quality floor. Dense (ratio 1.0) is always a
+// candidate, so every layer has a fallback and the search never fails:
+// an unreachable floor simply degrades the plan toward all-dense.
 //
 // Two floor semantics (QualityOptions::Floor):
 //   kPerLayer   every layer's ratio >= floor — selection decomposes
-//               per layer (independent min-latency subject to floor);
+//               per layer (PlanModel takes each layer's fastest
+//               candidate meeting the floor);
 //   kAggregate  the importance-weighted mean ratio (weights = repeat ×
-//               total layer importance) >= floor — selection starts
-//               from each layer's fastest candidate and greedily buys
-//               quality where it is cheapest: repeatedly upgrade the
-//               layer with the best (importance gained) / (modelled
-//               seconds added) step along its quality/latency Pareto
-//               frontier until the aggregate meets the floor.
+//               total layer importance) >= floor — SelectAggregate
+//               below starts from each layer's fastest candidate and
+//               greedily buys quality where it is cheapest: repeatedly
+//               upgrade the layer with the best (importance gained) /
+//               (modelled seconds added) step along its quality/latency
+//               Pareto frontier until the aggregate meets the floor.
 //
 // Both are deterministic: same model + options -> bit-identical plan
 // (ties break on the stable candidate order), enforced by
@@ -28,19 +29,21 @@
 
 #include <vector>
 
-#include "runtime/model_desc.h"
 #include "runtime/planner.h"
 
 namespace shflbw {
 namespace quality {
 
-/// The entry point PlanModel routes to when options.quality.enabled is
-/// set (callable directly as well; it validates options itself).
-/// Produces a standard ExecutionPlan whose layers carry per-layer
-/// (format, density, v, retained_ratio) — the engine packs each layer
-/// at its own plan values.
-runtime::ExecutionPlan PlanModelQualityAware(const runtime::ModelDesc& model,
-                                             const runtime::PlannerOptions& opts);
+/// Floor comparisons tolerate double round-off, never real violations:
+/// a retained ratio r meets floor f when r + kFloorEps >= f.
+inline constexpr double kFloorEps = 1e-12;
+
+/// kAggregate selection over `plan`, whose layers carry their ranked
+/// candidates and total_score: starts every layer at its fastest
+/// candidate, then buys retained importance where it costs the least
+/// modelled time until the importance-weighted mean meets `floor`. The
+/// most efficient upgrade wins, ties to the lowest layer index.
+void SelectAggregate(runtime::ExecutionPlan& plan, double floor);
 
 /// Expands `base` into one PlannerOptions per ladder floor: each entry
 /// is quality-enabled at that floor with per-layer semantics (the floor

@@ -8,6 +8,7 @@
 #include "common/clock.h"
 #include "common/rng.h"
 #include "model/weight_synth.h"
+#include "quality/quality_planner.h"
 
 namespace shflbw {
 namespace runtime {
@@ -407,7 +408,7 @@ void Engine::Autotune() {
       const FormatCandidate& cand = lp.candidates[c];
       if (!cand.feasible) break;  // sorted: feasible prefix
       if (floor_per_layer &&
-          cand.retained_ratio + 1e-12 < q.min_retained_ratio) {
+          cand.retained_ratio + quality::kFloorEps < q.min_retained_ratio) {
         continue;
       }
       eligible.push_back(c);
@@ -432,11 +433,7 @@ void Engine::Autotune() {
     // (measured_s == 0, exactly like the skipped infeasible ones) as
     // empirical winners in the plan summary.
     if (winner.measured_s <= 0.0) continue;
-    lp.format = winner.format;
-    lp.density = winner.density;
-    lp.v = winner.v;
-    lp.modeled_s = winner.modeled_s;
-    lp.retained_ratio = winner.retained_ratio;
+    lp.Select(winner);
     lp.autotuned = true;
   }
 }

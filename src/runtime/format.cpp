@@ -1,8 +1,8 @@
 #include "runtime/format.h"
 
 #include <cmath>
+#include <cstdio>
 #include <iterator>
-#include <sstream>
 
 #include "common/check.h"
 #include "kernels/gemm_dense.h"
@@ -21,15 +21,14 @@ namespace shflbw {
 namespace runtime {
 namespace {
 
-const char* NoStatsLimit(const GpuSpec&) { return "stats model undefined"; }
-const char* VNotDividingM(const GpuSpec&) { return "m not divisible by V"; }
+constexpr const char* kVNotDividingM = "m not divisible by V";
+constexpr const char* kVNotDividingOutC = "out_c not divisible by V";
 
 // Indexed by Format; AllFormats() is this order.
 constexpr FormatOps kOps[] = {
     {
         .format = Format::kDense,
         .name = "dense",
-        .kernel_class = KernelClass::kDenseTensorCore,
         .fixed_density = 0,
         .mask = [](const Matrix<float>& scores, double, int) {
           return FormatMask{
@@ -47,20 +46,22 @@ constexpr FormatOps kOps[] = {
         .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
           return GemmTensorCoreStats(w.dense.rows(), n, w.dense.cols(), spec);
         },
+        .gemm_model = [](int m, int n, int k, double, int,
+                         const GpuSpec& spec) {
+          return LayerModel{GemmTensorCoreStats(m, n, k, spec)};
+        },
         .conv = [](const PackedWeight& w, const ConvShape& shape,
                    const Tensor4& input) {
           return Conv2dDense(input, w.dense, shape);
         },
-        .conv_stats = [](const ConvShape& shape, double, int,
-                         const GpuSpec& spec) -> std::optional<KernelStats> {
-          return Conv2dDenseStats(shape, spec);
+        .conv_model = [](const ConvShape& shape, double, int,
+                         const GpuSpec& spec) {
+          return LayerModel{Conv2dDenseStats(shape, spec)};
         },
-        .infeasible = NoStatsLimit,
     },
     {
         .format = Format::kCsr,
         .name = "csr",
-        .kernel_class = KernelClass::kSputnik,
         .fixed_density = 0,
         .mask = [](const Matrix<float>& scores, double density, int) {
           return FormatMask{UnstructuredMask(scores, density), {}};
@@ -75,14 +76,16 @@ constexpr FormatOps kOps[] = {
         .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
           return SpmmSputnikStats(w.csr.rows, n, w.csr.cols, w.csr.Nnz(), spec);
         },
+        .gemm_model = [](int m, int n, int k, double density, int,
+                         const GpuSpec& spec) {
+          return LayerModel{SpmmSputnikStats(m, n, k, density * m * k, spec)};
+        },
         .conv = nullptr,
-        .conv_stats = nullptr,
-        .infeasible = NoStatsLimit,
+        .conv_model = nullptr,
     },
     {
         .format = Format::kBsr,
         .name = "bsr",
-        .kernel_class = KernelClass::kBsrTensorCore,
         .fixed_density = 0,
         .mask = [](const Matrix<float>& scores, double density, int v) {
           return FormatMask{BlockWiseMask(scores, density, v), {}};
@@ -98,15 +101,21 @@ constexpr FormatOps kOps[] = {
           return SpmmBsrStats(w.bsr.rows, n, w.bsr.cols, w.bsr.NnzBlocks(),
                               w.bsr.block_size, spec);
         },
+        .gemm_model = [](int m, int n, int k, double density, int v,
+                         const GpuSpec& spec) {
+          if (m % v != 0 || k % v != 0) {
+            return LayerModel{std::nullopt, "m or k not divisible by V"};
+          }
+          const double nnz_blocks = density * (static_cast<double>(m) / v) *
+                                    (static_cast<double>(k) / v);
+          return LayerModel{SpmmBsrStats(m, n, k, nnz_blocks, v, spec)};
+        },
         .conv = nullptr,
-        .conv_stats = nullptr,
-        .infeasible =
-            [](const GpuSpec&) { return "m or k not divisible by V"; },
+        .conv_model = nullptr,
     },
     {
         .format = Format::kBalanced24,
         .name = "2:4",
-        .kernel_class = KernelClass::kBalanced24,
         .fixed_density = 0.5,
         .mask = [](const Matrix<float>& scores, double density, int) {
           const FormatOps& ops = Ops(Format::kBalanced24);
@@ -125,17 +134,22 @@ constexpr FormatOps kOps[] = {
           return SpmmBalanced24Stats(w.balanced24.rows, n, w.balanced24.cols,
                                      spec);
         },
-        .conv = nullptr,
-        .conv_stats = nullptr,
-        .infeasible = [](const GpuSpec& spec) {
-          return spec.arch != GpuArch::kA100 ? "sparse tensor-core is A100-only"
-                                             : "k not divisible by 4";
+        .gemm_model = [](int m, int n, int k, double, int,
+                         const GpuSpec& spec) {
+          if (spec.arch != GpuArch::kA100) {
+            return LayerModel{std::nullopt, "sparse tensor-core is A100-only"};
+          }
+          if (k % 4 != 0) {
+            return LayerModel{std::nullopt, "k not divisible by 4"};
+          }
+          return LayerModel{SpmmBalanced24Stats(m, n, k, spec)};
         },
+        .conv = nullptr,
+        .conv_model = nullptr,
     },
     {
         .format = Format::kVectorWise,
         .name = "vw",
-        .kernel_class = KernelClass::kVectorWiseTensorCore,
         .fixed_density = 0,
         .mask = [](const Matrix<float>& scores, double density, int v) {
           return FormatMask{VectorWiseMask(scores, density, v), {}};
@@ -150,23 +164,28 @@ constexpr FormatOps kOps[] = {
         .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
           return SpmmVectorWiseStats(w.vw, n, spec);
         },
+        .gemm_model = [](int m, int n, int k, double density, int v,
+                         const GpuSpec& spec) {
+          if (m % v != 0) return LayerModel{std::nullopt, kVNotDividingM};
+          return LayerModel{SpmmVectorWiseStats(m, n, k, density, v, spec)};
+        },
         // Implicit GEMM with the VW kernel: Conv2dShflBw minus the row
         // shuffle (the unfold is shared with Conv2dDense).
         .conv = [](const PackedWeight& w, const ConvShape& shape,
                    const Tensor4& input) {
           return SpmmVectorWise(w.vw, Im2Col(input, shape));
         },
-        .conv_stats = [](const ConvShape& shape, double density, int v,
-                         const GpuSpec& spec) -> std::optional<KernelStats> {
-          if (shape.GemmM() % v != 0) return std::nullopt;
-          return Conv2dVectorWiseStats(shape, density, v, spec);
+        .conv_model = [](const ConvShape& shape, double density, int v,
+                         const GpuSpec& spec) {
+          if (shape.GemmM() % v != 0) {
+            return LayerModel{std::nullopt, kVNotDividingOutC};
+          }
+          return LayerModel{Conv2dVectorWiseStats(shape, density, v, spec)};
         },
-        .infeasible = VNotDividingM,
     },
     {
         .format = Format::kShflBw,
         .name = "shfl-bw",
-        .kernel_class = KernelClass::kShflBwTensorCore,
         .fixed_density = 0,
         .mask = [](const Matrix<float>& scores, double density, int v) {
           ShflBwSearchResult search = ShflBwSearch(scores, density, v);
@@ -184,16 +203,22 @@ constexpr FormatOps kOps[] = {
         .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
           return SpmmShflBwStats(w.shflbw, n, spec);
         },
+        .gemm_model = [](int m, int n, int k, double density, int v,
+                         const GpuSpec& spec) {
+          if (m % v != 0) return LayerModel{std::nullopt, kVNotDividingM};
+          return LayerModel{SpmmShflBwStats(m, n, k, density, v, spec)};
+        },
         .conv = [](const PackedWeight& w, const ConvShape& shape,
                    const Tensor4& input) {
           return Conv2dShflBw(input, w.shflbw, shape);
         },
-        .conv_stats = [](const ConvShape& shape, double density, int v,
-                         const GpuSpec& spec) -> std::optional<KernelStats> {
-          if (shape.GemmM() % v != 0) return std::nullopt;
-          return Conv2dShflBwStats(shape, density, v, spec);
+        .conv_model = [](const ConvShape& shape, double density, int v,
+                         const GpuSpec& spec) {
+          if (shape.GemmM() % v != 0) {
+            return LayerModel{std::nullopt, kVNotDividingOutC};
+          }
+          return LayerModel{Conv2dShflBwStats(shape, density, v, spec)};
         },
-        .infeasible = VNotDividingM,
     },
 };
 
@@ -218,9 +243,14 @@ bool FormatOps::HoldsDensity(double density) const {
 }
 
 std::string FormatOps::FixedDensityRule() const {
-  std::ostringstream rule;
-  rule << name << " fixes density at " << fixed_density;
-  return rule.str();
+  // snprintf, not a stream: every plan whose ladder lacks 0.5 asks for
+  // this reason, and a process's first stream initializes the iostream
+  // locale (about 0.9 MB resident with libstdc++). %g prints what
+  // operator<< prints for a double.
+  char rule[64];
+  std::snprintf(rule, sizeof rule, "%s fixes density at %g", name,
+                fixed_density);
+  return rule;
 }
 
 const std::vector<Format>& AllFormats() {

@@ -1,9 +1,10 @@
 // Storage formats the inference runtime can select per layer, and the
 // one table holding everything that differs between them. Each format
 // is one sparsity pattern of Fig. 3: the mask that prunes it
-// (src/prune/), the packed representation (src/format/) and the kernel
-// that executes it (src/kernels/). The planner ranks formats with the
-// arch cost model, the weight cache packs the winner once, the engine
+// (src/prune/), the packed representation (src/format/), the kernel
+// that executes it (src/kernels/) and that kernel's model on a layer
+// shape. The planner and the Fig. 2/6 figures time formats through the
+// entry's model, the weight cache packs the winner once, the engine
 // executes it, the quality evaluator scores its mask and the
 // SparseLinear / SparseConv2d API runs it — all through Ops(format), so
 // the mask a plan scores is by construction the mask the engine packs.
@@ -67,14 +68,18 @@ struct FormatMask {
   std::vector<int> storage_to_original;
 };
 
+/// A format's kernel modelled on one layer: the stats, or nullopt with
+/// the reason when the layer's shape or the GPU rules the kernel out
+/// ("m not divisible by V", "sparse tensor-core is A100-only", ...).
+struct LayerModel {
+  std::optional<KernelStats> stats;
+  const char* why = nullptr;
+};
+
 /// One format's entry in the table: every per-format decision.
 struct FormatOps {
   Format format;
   const char* name;  // FormatName
-  /// The kernel class whose stats model / efficiency calibration times
-  /// this format. CSR maps to Sputnik — the stronger of the two
-  /// unstructured baselines (both execute as SpmmCsr).
-  KernelClass kernel_class;
   /// The one kept density the format can hold, or 0 when any density
   /// in (0, 1] works. 2:4 keeps two of every four weights, so it holds
   /// exactly 0.5 and ignores V.
@@ -94,18 +99,20 @@ struct FormatOps {
   /// The stats model of `gemm` for `w` on n activation columns.
   KernelStats (*gemm_stats)(const PackedWeight& w, int n,
                             const GpuSpec& spec);
-  /// Implicit-GEMM convolution and its stats model at (density, v);
-  /// conv_stats is nullopt when V does not divide out_c. Both are null
-  /// for formats without a conv kernel ("the baselines all lack
+  /// The model of `gemm` on an m x k weight kept at (density, v), before
+  /// anything is packed: what the planner and the figures time. CSR is
+  /// modelled as Sputnik, the stronger of the two unstructured
+  /// baselines (both execute as SpmmCsr). Dense and 2:4 ignore density
+  /// (the caller checks HoldsDensity first).
+  LayerModel (*gemm_model)(int m, int n, int k, double density, int v,
+                           const GpuSpec& spec);
+  /// Implicit-GEMM convolution and its model at (density, v). Both are
+  /// null for formats without a conv kernel ("the baselines all lack
   /// implementation for convolution", §6.2).
   Matrix<float> (*conv)(const PackedWeight& w, const ConvShape& shape,
                         const Tensor4& input);
-  std::optional<KernelStats> (*conv_stats)(const ConvShape& shape,
-                                           double density, int v,
-                                           const GpuSpec& spec);
-  /// Why the GEMM stats model (LayerStats of kernel_class) rejects a
-  /// layer on `spec`: the format's shape or hardware constraint.
-  const char* (*infeasible)(const GpuSpec& spec);
+  LayerModel (*conv_model)(const ConvShape& shape, double density, int v,
+                           const GpuSpec& spec);
 
   /// True when the format can hold kept density `density`.
   [[nodiscard]] bool HoldsDensity(double density) const;

@@ -1,13 +1,15 @@
-// The planning phase of the runtime: ranks every feasible format for
-// every layer with the arch cost model (the same roofline the Fig. 6
-// sweeps use) and selects the fastest, producing an ExecutionPlan the
-// engine packs and executes. With quality options enabled the ranking
-// becomes a constrained search over per-layer (format, density, V)
-// candidates under a retained-importance floor (src/quality/). Either
-// way planning is pure and deterministic — the same model + planner
-// options always yield the same plan — so a plan can be computed once
-// and reused across Run calls; the optional empirical autotune pass
-// (engine.h) re-ranks the top candidates by measured time afterwards.
+// The planning phase of the runtime: times every (format, density, V)
+// candidate of every layer with ModeledLayerSeconds, the same model the
+// Fig. 2/6 figures add up (core/evaluator.h), and selects the fastest,
+// producing an ExecutionPlan the engine packs and executes. One search
+// serves both kinds of plan: a speed-only plan searches the single
+// point (density, v) of PlannerOptions; with quality options enabled
+// it searches the ladders, scores each candidate's mask, and selects
+// under a retained-importance floor (src/quality/). Either way planning
+// is pure and deterministic — the same model + planner options always
+// yield the same plan — so a plan can be computed once and reused
+// across Run calls; the optional empirical autotune pass (engine.h)
+// re-ranks the top candidates by measured time afterwards.
 #pragma once
 
 #include <cstdint>
@@ -98,10 +100,10 @@ struct PlannerOptions {
 /// entry; exposed so callers can fail fast before building a model.
 void ValidatePlannerOptions(const PlannerOptions& opts);
 
-/// One (layer, format, density, v) evaluation. The speed-only planner
-/// emits one candidate per format at the global options (density, v);
-/// the quality-aware search emits one per ladder point and also fills
-/// `retained_ratio`.
+/// One (layer, format, density, v) evaluation. Dense and 2:4 yield one
+/// candidate each, every other format one per (density, v) ladder point
+/// — one per format in a speed-only plan, whose ladder is the global
+/// (density, v). A quality-aware plan also fills `retained_ratio`.
 struct FormatCandidate {
   Format format = Format::kDense;
   double density = 1.0;  // kept density this candidate packs at
@@ -137,6 +139,10 @@ struct LayerPlan {
   bool autotuned = false;  // winner picked by measurement
   /// Every evaluated candidate, feasible first, ranked fastest-first.
   std::vector<FormatCandidate> candidates;
+
+  /// Makes `c` the winner: copies its format, density, v, modelled
+  /// seconds and retained ratio.
+  void Select(const FormatCandidate& c);
 };
 
 /// A compiled schedule: one decision per model layer.
@@ -158,18 +164,17 @@ struct ExecutionPlan {
   [[nodiscard]] double MinRetainedRatio() const;
 };
 
-/// Cost-model seconds of `format` on layer `l`, or nullopt with the
-/// reason when the (format, layer, options) combination is undefined.
-/// Feasibility comes from Ops(format): conv layers need its conv_stats
-/// (dense, vector-wise and Shfl-BW only, §6.2), GEMM layers its stats
-/// model and fixed density (2:4 requires the A100 at exactly 0.5).
+/// Cost-model seconds of `format` on layer `l` at (opts.density,
+/// opts.v) on opts.arch, or nullopt with the reason when the format
+/// cannot run the layer — the one place a (layer, format, density, V)
+/// becomes modelled time, for plans and figures alike. The model is
+/// Ops(format).conv_model for conv layers (dense, vector-wise and
+/// Shfl-BW only, §6.2) and gemm_model otherwise, after the fixed
+/// density check (2:4 requires exactly 0.5). Throws shflbw::Error on a
+/// non-positive shape or a density outside (0, 1].
 std::optional<double> ModeledLayerSeconds(const LayerDesc& l, Format format,
                                           const PlannerOptions& opts,
                                           std::string* why = nullptr);
-
-/// Ranks all formats for one layer (deterministic).
-LayerPlan PlanLayer(const LayerDesc& l, int index,
-                    const PlannerOptions& opts);
 
 /// Plans the whole model (deterministic).
 ExecutionPlan PlanModel(const ModelDesc& model, const PlannerOptions& opts);

@@ -1,10 +1,12 @@
 // Tests for the beyond-NVIDIA extension targets (§7) and the
 // multi-stream launch model.
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "arch/cost_model.h"
 #include "common/check.h"
-#include "kernels/kernel_registry.h"
+#include "runtime/planner.h"
 
 namespace shflbw {
 namespace {
@@ -34,20 +36,33 @@ TEST(Extension, EfficiencyFallsBackToV100Column) {
 }
 
 TEST(Extension, ShflBwProjectsSpeedupOnBothTargets) {
-  LayerProblem p{4096, 512, 1024, 0.25, 64};
+  runtime::LayerDesc l;
+  l.gemm = {"fc", 4096, 512, 1024};
+  runtime::PlannerOptions opts;
+  opts.density = 0.25;
+  opts.v = 64;
   for (const GpuSpec& spec : ExtensionAccelerators()) {
-    const auto s =
-        SpeedupOverDense(KernelClass::kShflBwTensorCore, p, spec);
-    ASSERT_TRUE(s.has_value()) << spec.name;
-    EXPECT_GT(*s, 1.0) << spec.name;
+    opts.arch = spec.arch;
+    const auto sparse_s =
+        runtime::ModeledLayerSeconds(l, runtime::Format::kShflBw, opts);
+    const auto dense_s =
+        runtime::ModeledLayerSeconds(l, runtime::Format::kDense, opts);
+    ASSERT_TRUE(sparse_s && dense_s) << spec.name;
+    EXPECT_GT(*dense_s / *sparse_s, 1.0) << spec.name;
   }
 }
 
 TEST(Extension, Balanced24StillA100Only) {
-  LayerProblem p{2048, 128, 2048, 0.5, 32};
-  EXPECT_FALSE(LayerStats(KernelClass::kBalanced24, p,
-                          GetGpuSpec(GpuArch::kCdna1))
-                   .has_value());
+  runtime::LayerDesc l;
+  l.gemm = {"fc", 2048, 128, 2048};
+  runtime::PlannerOptions opts;
+  opts.density = 0.5;
+  opts.arch = GpuArch::kCdna1;
+  std::string why;
+  EXPECT_FALSE(
+      runtime::ModeledLayerSeconds(l, runtime::Format::kBalanced24, opts, &why)
+          .has_value());
+  EXPECT_EQ(why, "sparse tensor-core is A100-only");
 }
 
 TEST(LaunchModel, MultiStreamOverheadShape) {

@@ -1,43 +1,43 @@
 #include "core/evaluator.h"
 
+#include <set>
+
 #include <gtest/gtest.h>
 
-#include "model/gnmt.h"
-#include "model/resnet50.h"
-#include "model/transformer.h"
+#include "common/check.h"
 #include "model/weight_synth.h"
+#include "runtime/planner.h"
 
 namespace shflbw {
 namespace {
 
-const GpuSpec& V100() { return GetGpuSpec(GpuArch::kV100); }
-const GpuSpec& T4() { return GetGpuSpec(GpuArch::kT4); }
-const GpuSpec& A100() { return GetGpuSpec(GpuArch::kA100); }
+using runtime::AllFormats;
+using runtime::ExecutionPlan;
+using runtime::Format;
+using runtime::LayerDesc;
+using runtime::ModelDesc;
+using runtime::PlannerOptions;
 
-TEST(Evaluator, FormatToKernelClassMapping) {
-  using runtime::Format;
-  using runtime::Ops;
-  EXPECT_EQ(Ops(Format::kShflBw).kernel_class,
-            KernelClass::kShflBwTensorCore);
-  EXPECT_EQ(Ops(Format::kCsr).kernel_class, KernelClass::kSputnik);
-  EXPECT_EQ(Ops(Format::kDense).kernel_class, KernelClass::kDenseTensorCore);
+/// A one-layer GEMM model.
+ModelDesc OneLayer(int m, int n, int k) {
+  ModelDesc model;
+  model.name = "one";
+  model.layers.resize(1);
+  model.layers[0].gemm = {"fc", m, n, k};
+  return model;
 }
 
 TEST(Evaluator, TransformerShflBwSpeedupHeadline) {
   // Fig. 6 anchor: Shfl-BW V=64 at 75% sparsity accelerates Transformer
   // GEMM layers ~1.81x (V100), ~4.18x (T4), ~1.90x (A100). The model
   // must land in the right bands, with T4 clearly the largest.
-  const auto layers = TransformerLayers();
-  const auto counts = TransformerLayerCounts();
-  const auto v100 = EvaluateGemmModel(layers, counts,
-                                      KernelClass::kShflBwTensorCore, 0.25,
-                                      64, V100());
-  const auto t4 = EvaluateGemmModel(layers, counts,
-                                    KernelClass::kShflBwTensorCore, 0.25, 64,
-                                    T4());
-  const auto a100 = EvaluateGemmModel(layers, counts,
-                                      KernelClass::kShflBwTensorCore, 0.25,
-                                      64, A100());
+  const ModelDesc transformer = ModelDesc::Transformer();
+  const auto v100 =
+      EvaluateModel(transformer, Format::kShflBw, 0.25, 64, GpuArch::kV100);
+  const auto t4 =
+      EvaluateModel(transformer, Format::kShflBw, 0.25, 64, GpuArch::kT4);
+  const auto a100 =
+      EvaluateModel(transformer, Format::kShflBw, 0.25, 64, GpuArch::kA100);
   ASSERT_TRUE(v100 && t4 && a100);
   EXPECT_GT(v100->speedup, 1.3);
   EXPECT_LT(v100->speedup, 2.5);
@@ -50,13 +50,11 @@ TEST(Evaluator, TransformerShflBwSpeedupHeadline) {
 }
 
 TEST(Evaluator, SpeedupGrowsWithSparsity) {
-  const auto layers = TransformerLayers();
-  const auto counts = TransformerLayerCounts();
+  const ModelDesc transformer = ModelDesc::Transformer();
   double prev = 0.0;
   for (double density : {0.5, 0.25, 0.15, 0.05}) {
-    const auto r = EvaluateGemmModel(layers, counts,
-                                     KernelClass::kShflBwTensorCore, density,
-                                     64, V100());
+    const auto r = EvaluateModel(transformer, Format::kShflBw, density, 64,
+                                 GpuArch::kV100);
     ASSERT_TRUE(r);
     EXPECT_GT(r->speedup, prev) << density;
     prev = r->speedup;
@@ -69,59 +67,116 @@ TEST(Evaluator, UnstructuredBelowDenseAtModerateSparsity) {
   // still reports <1x; a linear compute model concedes a modest win
   // there on large layers (see docs/REPRODUCTION.md §5), so the bound
   // is loose at that point.
-  const auto layers = GnmtLayers();
-  const auto counts = GnmtLayerCounts();
+  const ModelDesc gnmt = ModelDesc::Gnmt();
   for (double density : {0.5, 0.25, 0.15}) {
-    const auto r = EvaluateGemmModel(layers, counts, KernelClass::kSputnik,
-                                     density, 32, V100());
+    const auto r =
+        EvaluateModel(gnmt, Format::kCsr, density, 32, GpuArch::kV100);
     ASSERT_TRUE(r);
     EXPECT_LT(r->speedup, 1.05) << density;
   }
-  const auto r95 = EvaluateGemmModel(layers, counts, KernelClass::kSputnik,
-                                     0.05, 32, V100());
+  const auto r95 = EvaluateModel(gnmt, Format::kCsr, 0.05, 32, GpuArch::kV100);
   ASSERT_TRUE(r95);
   EXPECT_LT(r95->speedup, 1.8);
 }
 
 TEST(Evaluator, Balanced24ModestOnA100) {
   // §6.2: balanced 2:4 gives only 1.07x / 1.16x on A100 at 50%.
-  const auto transformer = EvaluateGemmModel(
-      TransformerLayers(), TransformerLayerCounts(),
-      KernelClass::kBalanced24, 0.5, 32, A100());
-  ASSERT_TRUE(transformer);
-  EXPECT_GT(transformer->speedup, 0.95);
-  EXPECT_LT(transformer->speedup, 1.4);
+  const ModelDesc transformer = ModelDesc::Transformer();
+  const auto balanced24 = EvaluateModel(transformer, Format::kBalanced24, 0.5,
+                                        32, GpuArch::kA100);
+  ASSERT_TRUE(balanced24);
+  EXPECT_GT(balanced24->speedup, 0.95);
+  EXPECT_LT(balanced24->speedup, 1.4);
   // And it is beaten by Shfl-BW V=64 at the same 50% sparsity.
-  const auto shflbw = EvaluateGemmModel(
-      TransformerLayers(), TransformerLayerCounts(),
-      KernelClass::kShflBwTensorCore, 0.5, 64, A100());
+  const auto shflbw =
+      EvaluateModel(transformer, Format::kShflBw, 0.5, 64, GpuArch::kA100);
   ASSERT_TRUE(shflbw);
-  EXPECT_GT(shflbw->speedup, transformer->speedup);
+  EXPECT_GT(shflbw->speedup, balanced24->speedup);
 }
 
 TEST(Evaluator, ConvModelOnlyForOurKernels) {
-  const auto layers = ResNet50Layers();
-  EXPECT_TRUE(EvaluateConvModel(layers, KernelClass::kShflBwTensorCore, 0.25,
-                                32, V100())
+  const ModelDesc resnet = ModelDesc::ResNet50();
+  EXPECT_TRUE(EvaluateModel(resnet, Format::kShflBw, 0.25, 32, GpuArch::kV100)
                   .has_value());
-  EXPECT_TRUE(EvaluateConvModel(layers, KernelClass::kVectorWiseTensorCore,
-                                0.25, 32, V100())
-                  .has_value());
+  EXPECT_TRUE(
+      EvaluateModel(resnet, Format::kVectorWise, 0.25, 32, GpuArch::kV100)
+          .has_value());
   // §6.2: "The baselines all lack implementation for convolution."
-  EXPECT_FALSE(EvaluateConvModel(layers, KernelClass::kSputnik, 0.25, 32,
-                                 V100())
+  EXPECT_FALSE(EvaluateModel(resnet, Format::kCsr, 0.25, 32, GpuArch::kV100)
                    .has_value());
-  EXPECT_FALSE(EvaluateConvModel(layers, KernelClass::kBsrTensorCore, 0.25,
-                                 32, V100())
+  EXPECT_FALSE(EvaluateModel(resnet, Format::kBsr, 0.25, 32, GpuArch::kV100)
                    .has_value());
 }
 
 TEST(Evaluator, ResNetShflBwFasterThanDense) {
-  const auto r = EvaluateConvModel(ResNet50Layers(),
-                                   KernelClass::kShflBwTensorCore, 0.25, 32,
-                                   V100());
+  const auto r = EvaluateModel(ModelDesc::ResNet50(), Format::kShflBw, 0.25,
+                               32, GpuArch::kV100);
   ASSERT_TRUE(r);
   EXPECT_GT(r->speedup, 1.0);
+}
+
+TEST(Evaluator, SpeedupIsDenseOverSparseModeledSeconds) {
+  const ModelDesc model = OneLayer(4096, 128, 1024);
+  const auto r =
+      EvaluateModel(model, Format::kShflBw, 0.25, 64, GpuArch::kV100);
+  ASSERT_TRUE(r);
+  PlannerOptions opts;
+  opts.density = 0.25;
+  opts.v = 64;
+  const LayerDesc& l = model.layers[0];
+  const auto dense_s = ModeledLayerSeconds(l, Format::kDense, opts);
+  const auto sparse_s = ModeledLayerSeconds(l, Format::kShflBw, opts);
+  ASSERT_TRUE(dense_s && sparse_s);
+  EXPECT_EQ(r->dense_s, *dense_s);
+  EXPECT_EQ(r->sparse_s, *sparse_s);
+  EXPECT_NEAR(r->speedup, *dense_s / *sparse_s, 1e-12);
+}
+
+TEST(Evaluator, DenseSpeedupIsOne) {
+  const auto r = EvaluateModel(OneLayer(1024, 128, 1024), Format::kDense, 1.0,
+                               32, GpuArch::kV100);
+  ASSERT_TRUE(r);
+  EXPECT_NEAR(r->speedup, 1.0, 1e-12);
+}
+
+TEST(Evaluator, FiguresTimeWhatPlansModel) {
+  // A figure's bar and a plan pinned to the same format at the same
+  // (density, V) are one computation: every layer's seconds equal to
+  // the bit, and a format the figure cannot time is one the planner
+  // cannot run. The model totals are compared to a few ulps only: a
+  // build that contracts multiply-adds (-march=x86-64-v3) may fuse one
+  // sum and not the other.
+  const ModelDesc transformer = ModelDesc::Transformer();
+  std::set<Format> compared;
+  for (GpuArch arch : {GpuArch::kV100, GpuArch::kA100}) {
+    for (double density : {0.25, 0.5}) {
+      for (Format f : AllFormats()) {
+        SCOPED_TRACE(FormatName(f) + " @ " + GetGpuSpec(arch).name + " " +
+                     std::to_string(density));
+        PlannerOptions opts;
+        opts.arch = arch;
+        opts.density = density;
+        opts.v = 64;
+        opts.force_format = f;
+        const auto figure = EvaluateModel(transformer, f, density, 64, arch);
+        if (!figure) {
+          EXPECT_THROW(PlanModel(transformer, opts), Error);
+          continue;
+        }
+        const ExecutionPlan plan = PlanModel(transformer, opts);
+        ASSERT_EQ(figure->layers.size(), plan.layers.size());
+        for (std::size_t i = 0; i < plan.layers.size(); ++i) {
+          const runtime::LayerPlan& lp = plan.layers[i];
+          EXPECT_EQ(figure->layers[i].sparse_s, lp.modeled_s * lp.repeat);
+          EXPECT_EQ(figure->layers[i].dense_s, lp.modeled_dense_s * lp.repeat);
+        }
+        EXPECT_DOUBLE_EQ(figure->sparse_s, plan.ModeledTotalSeconds());
+        EXPECT_DOUBLE_EQ(figure->dense_s, plan.ModeledDenseSeconds());
+        compared.insert(f);
+      }
+    }
+  }
+  EXPECT_EQ(compared.size(), AllFormats().size());
 }
 
 TEST(Evaluator, ProxyQualityMonotone) {
@@ -139,7 +194,6 @@ TEST(Evaluator, QualityOrderingAcrossPatterns) {
     opt.seed = 400 + i;
     weights.push_back(SynthesizeWeights(128, 128, opt));
   }
-  using runtime::Format;
   const QualityResult shflbw =
       EvaluateQuality(weights, Format::kShflBw, 0.2, 32, 27.5, 3.0);
   const QualityResult vw =

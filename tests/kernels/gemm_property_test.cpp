@@ -8,7 +8,7 @@
 #include "arch/cost_model.h"
 #include "common/rng.h"
 #include "kernels/gemm_dense.h"
-#include "kernels/kernel_registry.h"
+#include "kernels/spmm_csr.h"
 
 namespace shflbw {
 namespace {
@@ -79,20 +79,20 @@ TEST_P(GemmShapeSweep, BlockDiagonalDecomposes) {
 TEST_P(GemmShapeSweep, StatsInvariantsForEveryKernelClass) {
   const auto [m, n, k] = GetParam();
   const GpuSpec& spec = GetGpuSpec(GpuArch::kV100);
-  LayerProblem p{m, n, k, 0.5, 2};
-  for (KernelClass klass :
-       {KernelClass::kDenseTensorCore, KernelClass::kDenseCudaCore,
-        KernelClass::kCsrScalar, KernelClass::kSputnik}) {
-    const auto stats = LayerStats(klass, p, spec);
-    ASSERT_TRUE(stats.has_value()) << KernelClassName(klass);
+  const double nnz = 0.5 * m * k;
+  for (const KernelStats& stats :
+       {GemmTensorCoreStats(m, n, k, spec), GemmCudaCoreStats(m, n, k, spec),
+        SpmmCsrScalarStats(m, n, k, nnz, spec),
+        SpmmSputnikStats(m, n, k, nnz, spec)}) {
+    SCOPED_TRACE(stats.kernel_name);
     // Bytes and ops non-negative; issued >= useful/2; DRAM reads are a
     // lower bound of L2 reads plus the gap the L2 absorbs.
-    EXPECT_GE(stats->issued_macs, stats->useful_flops / 2.0 - 1e-9);
-    EXPECT_GT(stats->dram_read_bytes, 0.0);
-    EXPECT_GT(stats->dram_write_bytes, 0.0);
-    EXPECT_GE(stats->l2_read_bytes, 0.0);
+    EXPECT_GE(stats.issued_macs, stats.useful_flops / 2.0 - 1e-9);
+    EXPECT_GT(stats.dram_read_bytes, 0.0);
+    EXPECT_GT(stats.dram_write_bytes, 0.0);
+    EXPECT_GE(stats.l2_read_bytes, 0.0);
     // Modelled time strictly positive and finite.
-    const double t = CostModel(spec).Seconds(*stats);
+    const double t = CostModel(spec).Seconds(stats);
     EXPECT_GT(t, 0.0);
     EXPECT_TRUE(std::isfinite(t));
   }

@@ -1,8 +1,11 @@
 // Tests of the kernel traffic/instruction models — the quantities the
 // paper's §3.2.2 analysis is about.
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "arch/cost_model.h"
+#include "common/check.h"
 #include "kernels/gemm_dense.h"
 #include "kernels/spmm_balanced24.h"
 #include "kernels/spmm_bsr.h"
@@ -88,6 +91,38 @@ TEST(SpmmStats, TilewiseLaunchesPerGroup) {
   const KernelStats s = SpmmTilewiseStats(4096, 128, 1024, 0.25, Spec());
   EXPECT_EQ(s.num_kernel_launches, 4096 / kTilewiseV);
   EXPECT_EQ(s.num_streams, kTilewiseStreams);
+}
+
+TEST(SpmmStats, UniformKeptModelsRejectPartialRowGroups) {
+  // The shape-level VW-family models spread kept vectors over m/V row
+  // groups; an m that V does not divide would model a truncated matrix
+  // (useful FLOPs for 96 of 100 rows, none at m = 4), so it throws.
+  const auto expect_named_error = [](const auto& model, const char* needle) {
+    try {
+      (void)model();
+      ADD_FAILURE() << "expected an error mentioning '" << needle << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_named_error(
+      [] { return SpmmVectorSparseStats(100, 128, 256, 0.25, Spec()); },
+      "m=100 not divisible by v=8");
+  expect_named_error(
+      [] { return SpmmVectorSparseStats(4, 128, 256, 0.25, Spec()); },
+      "m=4 not divisible by v=8");
+  expect_named_error(
+      [] { return SpmmTilewiseStats(100, 128, 2048, 0.5, Spec()); },
+      "m=100 not divisible by v=128");
+  expect_named_error(
+      [] { return SpmmShflBwStats(100, 128, 2048, 0.5, 32, Spec()); },
+      "m=100 not divisible by v=32");
+
+  // Whole row groups model every row, writes and useful FLOPs alike.
+  const KernelStats s = SpmmVectorSparseStats(2048, 128, 2048, 0.5, Spec());
+  EXPECT_DOUBLE_EQ(s.useful_flops, 2.0 * (0.5 * 2048) * 2048 * 128);
+  EXPECT_DOUBLE_EQ(s.dram_write_bytes, 2048.0 * 128 * kHalfBytes);
 }
 
 TEST(SpmmStats, PaddedMacsAtLeastUseful) {

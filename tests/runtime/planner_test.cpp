@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "model/weight_synth.h"
 #include "runtime/planner.h"
+#include "runtime/weight_cache.h"
 
 namespace shflbw {
 namespace runtime {
@@ -118,7 +120,10 @@ TEST(Planner, Balanced24NeedsA100AndHalfDensity) {
 }
 
 TEST(Planner, VectorFormatsNeedDivisibleM) {
-  LayerDesc l;
+  ModelDesc model;
+  model.name = "odd";
+  model.layers.resize(1);
+  LayerDesc& l = model.layers[0];
   l.gemm = {"odd", 60, 32, 64};  // 60 % 8 != 0
   PlannerOptions opts;
   opts.v = 8;
@@ -127,9 +132,111 @@ TEST(Planner, VectorFormatsNeedDivisibleM) {
     EXPECT_FALSE(ModeledLayerSeconds(l, f, opts, &why).has_value())
         << FormatName(f);
   }
+  EXPECT_EQ(why, "m or k not divisible by V");
   // Dense and CSR stay feasible, so planning still succeeds.
-  const LayerPlan plan = PlanLayer(l, 0, opts);
-  EXPECT_TRUE(plan.format == Format::kDense || plan.format == Format::kCsr);
+  const ExecutionPlan plan = PlanModel(model, opts);
+  ASSERT_EQ(plan.layers.size(), 1u);
+  EXPECT_TRUE(plan.layers[0].format == Format::kDense ||
+              plan.layers[0].format == Format::kCsr);
+
+  // The same at the paper's V=32: unstructured CSR has no V constraint.
+  l.gemm = {"odd", 100, 128, 2048};
+  opts.v = 32;
+  EXPECT_FALSE(ModeledLayerSeconds(l, Format::kShflBw, opts, &why));
+  EXPECT_EQ(why, "m not divisible by V");
+  EXPECT_TRUE(ModeledLayerSeconds(l, Format::kCsr, opts).has_value());
+}
+
+TEST(ModeledLayerSeconds, TimesEverySparseFormatOnAFriendlyShape) {
+  LayerDesc l;
+  l.gemm = {"fc", 2048, 128, 2048};
+  PlannerOptions opts;
+  opts.density = 0.5;
+  opts.v = 32;
+  for (Format f : AllFormats()) {
+    opts.arch = GpuArch::kA100;
+    EXPECT_TRUE(ModeledLayerSeconds(l, f, opts).has_value()) << FormatName(f);
+    // Off the A100 only 2:4's sparse tensor cores are missing.
+    opts.arch = GpuArch::kV100;
+    EXPECT_EQ(ModeledLayerSeconds(l, f, opts).has_value(),
+              f != Format::kBalanced24)
+        << FormatName(f);
+  }
+}
+
+TEST(ModeledLayerSeconds, BadShapesAndDensitiesThrow) {
+  LayerDesc l;
+  l.gemm = {"empty", 0, 128, 1024};
+  PlannerOptions opts;
+  EXPECT_THROW(ModeledLayerSeconds(l, Format::kCsr, opts), Error);
+  l.gemm = {"fc", 128, 128, 1024};
+  opts.density = 0.0;
+  EXPECT_THROW(ModeledLayerSeconds(l, Format::kCsr, opts), Error);
+  opts.density = 1.5;
+  EXPECT_THROW(ModeledLayerSeconds(l, Format::kCsr, opts), Error);
+}
+
+/// True when PackWeight packs an m x k synthesized weight for `f` at
+/// (density, v); false when it throws.
+bool Packs(Format f, int m, int k, double density, int v) {
+  try {
+    (void)PackWeight(f, SynthesizeWeights(m, k, {}), density, v);
+    return true;
+  } catch (const Error&) {
+    return false;
+  }
+}
+
+TEST(ModeledLayerSeconds, TimesAGemmLayerExactlyWhenItPacks) {
+  // A100, so 2:4's hardware rule leaves only its shape and density rules.
+  PlannerOptions opts;
+  opts.arch = GpuArch::kA100;
+  int modelled = 0;
+  int rejected = 0;
+  for (Format f : AllFormats()) {
+    for (int m : {8, 12, 16, 24}) {
+      for (int k : {8, 12, 16, 18}) {
+        for (int v : {4, 8}) {
+          for (double density : {0.25, 0.5}) {
+            LayerDesc l;
+            l.gemm = {"fc", m, 16, k};
+            opts.v = v;
+            opts.density = density;
+            const bool timed = ModeledLayerSeconds(l, f, opts).has_value();
+            EXPECT_EQ(timed, Packs(f, m, k, density, v))
+                << FormatName(f) << " m=" << m << " k=" << k << " v=" << v
+                << " density=" << density;
+            ++(timed ? modelled : rejected);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(modelled, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(ModeledLayerSeconds, TimesAConvLayerExactlyWhenItPacks) {
+  PlannerOptions opts;
+  opts.arch = GpuArch::kA100;
+  for (Format f : AllFormats()) {
+    if (Ops(f).conv == nullptr) continue;
+    for (int out_c : {8, 12, 16}) {
+      for (int v : {4, 8}) {
+        for (double density : {0.25, 0.5}) {
+          LayerDesc l;
+          l.kind = LayerKind::kConv;
+          l.conv = {"conv", 1, 4, 6, 6, out_c, 3, 3, 1, 1, 1};
+          opts.v = v;
+          opts.density = density;
+          EXPECT_EQ(ModeledLayerSeconds(l, f, opts).has_value(),
+                    Packs(f, l.GemmM(), l.GemmK(), density, v))
+              << FormatName(f) << " out_c=" << out_c << " v=" << v
+              << " density=" << density;
+        }
+      }
+    }
+  }
 }
 
 TEST(Planner, ConvLayersOnlyOfferConvCapableFormats) {

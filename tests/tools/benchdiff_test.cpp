@@ -179,6 +179,28 @@ TEST(Diff, BitIdenticalFlagsHaveZeroTolerance) {
   EXPECT_EQ(Diff(old_run, new_run, DefaultRules()).regressions, 1);
 }
 
+TEST(Diff, ModeledMetricsMustNotMoveEitherWay) {
+  // A modelled time is a pure function of the plan and the cost model;
+  // the exact rule claims it ahead of the loose *_ms* and *speedup*
+  // bands, in both directions.
+  const std::map<std::string, double> old_run = {
+      {"models[transformer].whole_model.modeled_speedup", 1.21},
+      {"models[transformer].speed_only.modeled_ms", 2.5}};
+  std::map<std::string, double> up = old_run;
+  up["models[transformer].whole_model.modeled_speedup"] = 1.22;
+  EXPECT_EQ(Diff(old_run, up, DefaultRules()).regressions, 1);
+  std::map<std::string, double> down = old_run;
+  down["models[transformer].speed_only.modeled_ms"] = 2.4;
+  const DiffResult r = Diff(old_run, down, DefaultRules());
+  EXPECT_EQ(r.regressions, 1);
+  for (const MetricDelta& d : r.deltas) {
+    EXPECT_TRUE(d.gated) << d.path;
+    EXPECT_EQ(d.direction, Direction::kExact) << d.path;
+  }
+  // Unchanged passes, at any --rel-scale.
+  EXPECT_EQ(Diff(old_run, old_run, DefaultRules(), 2.0).regressions, 0);
+}
+
 TEST(Diff, DisappearedMetricsWarnAndNewOnesInform) {
   const std::map<std::string, double> old_run = {{"a", 1}, {"b", 2}};
   const std::map<std::string, double> new_run = {{"b", 2}, {"c", 3}};

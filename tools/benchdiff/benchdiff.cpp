@@ -379,9 +379,10 @@ std::vector<MetricRule> DefaultRules() {
       {"*retained*", Direction::kHigherBetter, 0, 1e-9},
       {"*rel_err*", Direction::kLowerBetter, 0, 1e-9},
       {"*cosine*", Direction::kHigherBetter, 0, 1e-9},
-      // Model-derived speedups are deterministic too, but the cost
-      // model itself may be retuned; gate drift loosely.
-      {"*modeled_speedup*", Direction::kHigherBetter, 0.10, 0},
+      // Modelled times and speedups are pure functions of the plan and
+      // the cost model: any move either way means the planner or the
+      // model changed, so regenerate the baseline with that change.
+      {"*modeled*", Direction::kExact, 0, 0},
       {"*speedup*", Direction::kHigherBetter, 0.25, 0},
       // Host-bound wall clock: generous bands for shared CI runners.
       {"*gflops*", Direction::kHigherBetter, 0.40, 0},
@@ -421,9 +422,10 @@ DiffResult Diff(const std::map<std::string, double>& old_run,
         d.direction = rule.direction;
         d.threshold = std::max(rule.rel * rel_scale * std::fabs(old_value),
                                rule.abs);
-        const double bad = rule.direction == Direction::kHigherBetter
-                               ? -d.delta
-                               : d.delta;
+        const double bad =
+            rule.direction == Direction::kHigherBetter  ? -d.delta
+            : rule.direction == Direction::kLowerBetter ? d.delta
+                                                        : std::fabs(d.delta);
         d.regressed = bad > d.threshold;
       }
       break;  // first match wins, ignore included

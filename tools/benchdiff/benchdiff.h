@@ -68,6 +68,7 @@ struct JsonValue {
 enum class Direction {
   kHigherBetter,  // drop beyond threshold = regression
   kLowerBetter,   // rise beyond threshold = regression
+  kExact,         // move beyond threshold either way = regression
   kIgnore,        // never gates (provenance, timestamps, configuration)
 };
 
@@ -84,7 +85,8 @@ struct MetricRule {
 };
 
 /// The built-in rule list: tight on deterministic metrics
-/// (bit-identical flags must not move at all), generous on host-bound
+/// (bit-identical flags and modelled times must not move at all),
+/// generous on host-bound
 /// wall-clock (gflops/throughput on a shared CI runner), ignore on
 /// provenance. `rel_scale` multiplies every relative threshold (CI
 /// passes >1 on noisy runners).

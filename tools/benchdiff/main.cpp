@@ -8,7 +8,7 @@
 // built-in defaults, so they take precedence), prints the per-metric
 // delta table, and exits 0 when no gated metric regressed, 1 when one
 // did, 2 on usage / IO / parse errors. DIR is one of higher | lower |
-// ignore; REL is the relative noise threshold (fraction of |old|) and
+// exact (either direction regresses) | ignore; REL is the relative noise threshold (fraction of |old|) and
 // ABS the absolute floor. --rel-scale multiplies every relative
 // threshold (CI passes >1 on noisy shared runners).
 
@@ -28,7 +28,7 @@ using shflbw::benchdiff::MetricRule;
 int Usage() {
   std::cerr << "usage: benchdiff [--rule PATTERN,DIR,REL[,ABS]]... "
                "[--rel-scale X] OLD.json NEW.json\n"
-            << "  DIR: higher | lower | ignore\n";
+            << "  DIR: higher | lower | exact | ignore\n";
   return 2;
 }
 
@@ -60,6 +60,8 @@ bool ParseRuleFlag(const std::string& spec, MetricRule* out) {
     out->direction = Direction::kHigherBetter;
   } else if (parts[1] == "lower") {
     out->direction = Direction::kLowerBetter;
+  } else if (parts[1] == "exact") {
+    out->direction = Direction::kExact;
   } else if (parts[1] == "ignore") {
     out->direction = Direction::kIgnore;
   } else {
