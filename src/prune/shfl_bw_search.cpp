@@ -1,6 +1,7 @@
 #include "prune/shfl_bw_search.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 #include "format/convert.h"
@@ -39,6 +40,15 @@ ShflBwSearchResult ShflBwSearch(const Matrix<float>& scores, double density,
   SHFLBW_CHECK_MSG(density > 0.0 && density <= 1.0, "density " << density);
   SHFLBW_CHECK_MSG(v > 0 && scores.rows() % v == 0,
                    "rows=" << scores.rows() << " not divisible by V=" << v);
+  // std::min(1.0, NaN) is 1.0, so an unchecked NaN ratio would keep
+  // every weight in the clustering mask.
+  SHFLBW_CHECK_MSG(std::isfinite(opts.beta_ratio) && opts.beta_ratio > 0.0,
+                   "ShflBwSearchOptions.beta_ratio must be finite and > 0 "
+                   "(mask density beta = min(1, ratio * density)), got "
+                       << opts.beta_ratio);
+  SHFLBW_CHECK_MSG(opts.kmeans_iterations >= 1,
+                   "ShflBwSearchOptions.kmeans_iterations must be >= 1, got "
+                       << opts.kmeans_iterations);
 
   // (b) Reduced-sparsity unstructured mask: beta = 2*alpha keeps enough
   // candidates for the clustering to see where important weights live

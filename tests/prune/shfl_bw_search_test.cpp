@@ -1,5 +1,9 @@
 #include "prune/shfl_bw_search.h"
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -128,6 +132,34 @@ TEST(ShflBwSearch, InvalidArgsThrow) {
   Matrix<float> scores(32, 32);
   EXPECT_THROW(ShflBwSearch(scores, 0.0, 8), Error);
   EXPECT_THROW(ShflBwSearch(scores, 0.5, 5), Error);  // 32 % 5 != 0
+}
+
+TEST(ShflBwSearch, MalformedOptionsThrowErrorsNamingTheOption) {
+  // Unchecked, kmeans_iterations = 0 left every row unassigned (an
+  // empty permutation), a NaN beta_ratio kept every weight in the
+  // clustering mask, and a negative one failed inside the unstructured
+  // masker under the name "density".
+  Rng rng(211);
+  const Matrix<float> scores = MagnitudeScores(rng.NormalMatrix(32, 32));
+  const auto expect_error_naming = [&](const ShflBwSearchOptions& opts,
+                                       const std::string& option) {
+    try {
+      ShflBwSearch(scores, 0.25, 8, opts);
+      ADD_FAILURE() << option << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(option), std::string::npos)
+          << e.what();
+    }
+  };
+  for (int iterations : {0, -3}) {
+    expect_error_naming({.kmeans_iterations = iterations},
+                        "ShflBwSearchOptions.kmeans_iterations");
+  }
+  for (double ratio : {std::nan(""), -1.0, 0.0,
+                       std::numeric_limits<double>::infinity()}) {
+    expect_error_naming({.beta_ratio = ratio},
+                        "ShflBwSearchOptions.beta_ratio");
+  }
 }
 
 class SearchDensitySweep : public ::testing::TestWithParam<double> {};
