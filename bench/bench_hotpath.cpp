@@ -1,17 +1,19 @@
 // Hot-path benchmark for the parallel tiled SpMM execution engine.
 //
-// Times three variants of the VW-family engine on real layer shapes
+// Times variants of the VW-family engine on real layer shapes
 // (GNMT / Transformer / ResNet50, §6.1) at several sparsities:
 //   seed      the pre-optimization serial engine: fp16 stage buffers,
 //             out-of-line arithmetic decode (Fp16::DecodeReference) in
 //             the inner MMA loop, fresh scratch allocations per tile —
 //             a faithful replica of the original RunVwFamilyKernel.
-//   serial    the current engine pinned to 1 thread (fp16 decode-table
-//             fast path + reusable scratch, no parallelism).
+//   serial    the current engine pinned to 1 thread, at the dispatched
+//             kernel tier (provenance.kernel_tier).
 //   parallel  the current engine at the full ParallelThreadCount().
+//   tier_ms   the current engine pinned to 1 thread at each kernel tier
+//             this host supports (baseline, x86-64-v3, x86-64-v4).
 //
-// All three outputs are verified bit-identical before timing is
-// reported. Results go to BENCH_hotpath.json (see docs/PERFORMANCE.md).
+// All outputs are verified bit-identical before timing is reported.
+// Results go to BENCH_hotpath.json (see docs/PERFORMANCE.md).
 //
 // A second section tracks the convolution trajectory: ResNet50 conv
 // shapes through the implicit-GEMM Conv2dShflBw kernel (serial vs
@@ -28,6 +30,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -141,9 +144,13 @@ struct Timing {
   double seed_ms = 0;
   double serial_ms = 0;
   double parallel_ms = 0;
+  std::vector<std::pair<KernelTier, double>> tier_ms;  // supported tiers
   double flops = 0;
   bool identical = false;
 };
+
+constexpr KernelTier kTiers[] = {KernelTier::kBaseline, KernelTier::kX86_64_V3,
+                                 KernelTier::kX86_64_V4};
 
 double BestOfMs(int reps, const std::function<void()>& fn) {
   double best = 1e300;
@@ -218,15 +225,23 @@ Timing RunCase(const BenchCase& bc, int reps, int v) {
   Timing t;
   t.flops = 2.0 * a.KeptVectors() * v * bc.n;
 
-  Matrix<float> c_seed, c_serial, c_parallel;
+  Matrix<float> c_seed, c_serial, c_parallel, c_tier;
   t.seed_ms = BestOfMs(reps, [&] { c_seed = SeedSerialVw(a, b, cfg); });
   SetParallelThreads(1);
-  t.serial_ms =
-      BestOfMs(reps, [&] { c_serial = SpmmVectorWise(a, b, cfg); });
+  t.serial_ms = BestOfMs(reps, [&] { c_serial = SpmmVectorWise(a, b); });
+  t.identical = c_seed == c_serial;
+  std::vector<int> identity(static_cast<std::size_t>(a.rows));
+  std::iota(identity.begin(), identity.end(), 0);
+  for (KernelTier tier : kTiers) {
+    if (!KernelTierSupported(tier)) continue;
+    t.tier_ms.emplace_back(tier, BestOfMs(reps, [&] {
+      c_tier = detail::RunVwFamilyKernelAt(tier, a, identity, b);
+    }));
+    t.identical = t.identical && c_tier == c_serial;
+  }
   SetParallelThreads(0);
-  t.parallel_ms =
-      BestOfMs(reps, [&] { c_parallel = SpmmVectorWise(a, b, cfg); });
-  t.identical = c_seed == c_serial && c_serial == c_parallel;
+  t.parallel_ms = BestOfMs(reps, [&] { c_parallel = SpmmVectorWise(a, b); });
+  t.identical = t.identical && c_serial == c_parallel;
   return t;
 }
 
@@ -253,6 +268,18 @@ bool WriteJson(const std::string& path, const std::vector<BenchCase>& cases,
                      "signal; compare speedup_serial across machines, "
                      "speedup_parallel only at equal thread counts");
   std::fprintf(f, "  \"results\": [\n");
+  // One JSON object {"<tier>": value, ...} over the tiers timed.
+  const auto tier_object = [](const Timing& t, auto value) {
+    std::string out = "{";
+    for (const auto& [tier, ms] : t.tier_ms) {
+      char buf[64];
+      std::snprintf(buf, sizeof buf, "%s\"%s\": %.3f",
+                    out.size() > 1 ? ", " : "", KernelTierName(tier),
+                    value(ms));
+      out += buf;
+    }
+    return out + "}";
+  };
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const BenchCase& bc = cases[i];
     const Timing& t = timings[i];
@@ -263,11 +290,16 @@ bool WriteJson(const std::string& path, const std::vector<BenchCase>& cases,
                  "\"parallel_ms\": %.3f,\n"
                  "     \"seed_gflops\": %.3f, \"serial_gflops\": %.3f, "
                  "\"parallel_gflops\": %.3f,\n"
+                 "     \"tier_ms\": %s,\n"
+                 "     \"tier_gflops\": %s,\n"
                  "     \"speedup_serial\": %.3f, \"speedup_parallel\": %.3f, "
                  "\"bit_identical\": %s}%s\n",
                  bc.name.c_str(), bc.m, bc.k, bc.n, bc.alpha, t.seed_ms,
                  t.serial_ms, t.parallel_ms, t.flops / t.seed_ms / 1e6,
                  t.flops / t.serial_ms / 1e6, t.flops / t.parallel_ms / 1e6,
+                 tier_object(t, [](double ms) { return ms; }).c_str(),
+                 tier_object(t, [&](double ms) { return t.flops / ms / 1e6; })
+                     .c_str(),
                  t.seed_ms / t.serial_ms, t.seed_ms / t.parallel_ms,
                  t.identical ? "true" : "false",
                  i + 1 < cases.size() ? "," : "");
@@ -337,8 +369,9 @@ int Main(int argc, char** argv) {
   }
 
   const int threads = ParallelThreadCount();
-  std::printf("bench_hotpath: %d thread(s), %d rep(s), %zu case(s)\n",
-              threads, reps, cases.size());
+  std::printf(
+      "bench_hotpath: %d thread(s), %d rep(s), %zu case(s), kernel tier %s\n",
+      threads, reps, cases.size(), KernelTierName(ActiveKernelTier()));
   std::printf("%-28s %7s %9s %9s %11s %8s %8s\n", "shape", "alpha",
               "seed_ms", "serial_ms", "parallel_ms", "ser_x", "par_x");
 
@@ -352,6 +385,10 @@ int Main(int argc, char** argv) {
                 t.parallel_ms, t.seed_ms / t.serial_ms,
                 t.seed_ms / t.parallel_ms,
                 t.identical ? "" : "  OUTPUT MISMATCH");
+    for (const auto& [tier, ms] : t.tier_ms) {
+      std::printf("%28s %-9s %9.2f ms %7.2f GFLOP/s\n", "tier",
+                  KernelTierName(tier), ms, t.flops / ms / 1e6);
+    }
     timings.push_back(t);
   }
   std::printf("\n%-28s %7s %9s %9s %11s %8s %8s\n", "conv shape", "alpha",

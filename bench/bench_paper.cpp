@@ -914,16 +914,16 @@ void AblationPipeline(Section& s) {
   bench::Section(
       "Pipeline hazard check: stitching never outruns metadata "
       "(Algorithm 1 schedule)");
+  // The schedule of the first tile (row group 0) of a pruned layer.
   Rng rng(433);
   const Matrix<float> w = rng.NormalMatrix(64, 256);
   const ShflBwMatrix m = PruneToShflBw(w, 0.25, 16);
-  const Matrix<float> b = rng.NormalMatrix(256, 32);
   int total_hazards = 0;
   for (int mps : {1, 2, 4, 8}) {
     TileConfig cfg;
     cfg.meta_prefetch_stage = mps;
-    std::vector<PipelineEvent> trace;
-    SpmmShflBw(m, b, cfg, &trace);
+    const std::vector<PipelineEvent> trace =
+        PipelineSchedule(m.vw.KeptColumnsInGroup(0), cfg);
     int hazards = 0;
     for (const PipelineEvent& e : trace) {
       if (!e.meta_ready) ++hazards;

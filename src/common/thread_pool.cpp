@@ -92,9 +92,8 @@ thread_local bool t_in_parallel_region = false;
 
 /// Lazily-grown persistent worker pool with region partitioning.
 /// Workers are spawned the first time a region asks for them, then
-/// parked between regions, so worker thread_local scratch (the
-/// VW-family stage buffers and accumulators) survives across the many
-/// small kernel launches a multi-layer inference run issues.
+/// parked between regions, so the many small kernel launches a
+/// multi-layer inference run issues pay no spawn or join.
 ///
 /// Concurrent ParallelFor regions do NOT serialize: each region claims
 /// a disjoint subset of the idle workers at entry — its partition — and

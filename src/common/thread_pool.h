@@ -39,11 +39,10 @@ void SetParallelThreads(int n);
 ///
 /// Workers come from a process-wide lazily-grown persistent pool: the
 /// first region that asks for N threads spawns the missing workers, and
-/// they park on a condition variable between regions. This keeps worker
-/// thread_local scratch (the VW-family stage buffers) alive across the
-/// many small kernel launches a multi-layer inference run issues, and
-/// removes the per-call spawn/join cost the runtime engine would
-/// otherwise pay per layer. Thread-count changes between calls still
+/// they park on a condition variable between regions. This removes the
+/// per-call spawn/join cost the runtime engine would otherwise pay per
+/// layer across the many small kernel launches a multi-layer inference
+/// run issues. Thread-count changes between calls still
 /// work (a region only claims as many workers as it resolved); nested
 /// ParallelFor calls from inside a region run serially on the calling
 /// worker, so kernels stay composable with outer-level parallelism.

@@ -128,11 +128,11 @@ KernelResult Conv2dDense(const Tensor4& input, const Matrix<float>& weights,
 }
 
 Matrix<float> Conv2dShflBw(const Tensor4& input, const ShflBwMatrix& weights,
-                           const ConvShape& shape, const TileConfig& cfg) {
+                           const ConvShape& shape) {
   SHFLBW_CHECK_MSG(weights.rows() == shape.out_c &&
                        weights.cols() == shape.GemmK(),
                    "sparse weights do not match conv shape");
-  return SpmmShflBw(weights, Im2Col(input, shape), cfg);
+  return SpmmShflBw(weights, Im2Col(input, shape));
 }
 
 }  // namespace shflbw

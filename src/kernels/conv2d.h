@@ -95,7 +95,7 @@ KernelResult Conv2dDense(const Tensor4& input, const Matrix<float>& weights,
 
 /// Shfl-BW sparse implicit-GEMM convolution.
 Matrix<float> Conv2dShflBw(const Tensor4& input, const ShflBwMatrix& weights,
-                           const ConvShape& shape, const TileConfig& cfg = {});
+                           const ConvShape& shape);
 
 /// Stats-only models (used by the ResNet50 layer sweeps): the implicit-
 /// GEMM traffic equals the GEMM traffic except the dense operand's DRAM

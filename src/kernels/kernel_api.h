@@ -3,23 +3,25 @@
 // Every kernel in this directory has two halves, kept as separate
 // functions (docs/REPRODUCTION.md §1):
 //   1. *Execute* (SpmmCsr, SpmmShflBw, Conv2dDense, ...): computes the
-//      output matrix by performing the same algorithmic steps as the
-//      corresponding CUDA kernel (tile loads, in-buffer stitching,
-//      MMA-granularity accumulation, reordered write-back), with fp16
-//      operands and fp32 accumulation. It takes no GpuSpec: the result
-//      is the same on every modelled GPU. All kernels accumulate along K
-//      in ascending order, so their outputs are bit-identical to the
-//      dense reference on the same masked weights.
+//      output matrix with fp16 operands and fp32 accumulation, in the
+//      order the corresponding CUDA kernel accumulates (tile loads,
+//      in-buffer stitching, reordered write-back). It takes no GpuSpec
+//      and no TileConfig: the result is the same on every modelled GPU
+//      and tiling. All kernels accumulate along K in ascending order, so
+//      their outputs are bit-identical to the dense reference on the
+//      same masked weights. Algorithm 1's software pipeline is modelled,
+//      not executed: PipelineSchedule returns its step trace, and the
+//      VW-family execute is a direct register-blocked gather-MMA.
 //   2. *Stats model* (the *Stats functions): counts the DRAM/L2 traffic
-//      and MAC instructions the CUDA kernel would issue on a GpuSpec;
-//      the arch cost model converts these into modelled time on
-//      V100/T4/A100. Nothing here runs the execute to get them.
+//      and MAC instructions the CUDA kernel would issue on a GpuSpec at
+//      a TileConfig; the arch cost model converts these into modelled
+//      time on V100/T4/A100. Nothing here runs the execute to get them.
 //
 // Kernel classes that differ only in their stats share one execute:
 // both dense classes (tensor-core, CUDA-core) run GemmReference; the
 // cuSPARSE and Sputnik classes run SpmmCsr; the VW, Tilewise and
-// VectorSparse classes run SpmmVectorWise, the last two at
-// TilewiseConfig() / VectorSparseConfig().
+// VectorSparse classes run SpmmVectorWise, and differ only in the stats
+// configs TilewiseConfig() / VectorSparseConfig().
 //
 // Wide-batch contract: N (the dense-operand column count) is a free
 // dimension, not a fixed model property. Output column j depends only
@@ -38,6 +40,7 @@
 #include <cmath>
 
 #include "arch/kernel_stats.h"
+#include "common/check.h"
 #include "common/matrix.h"
 
 namespace shflbw {
@@ -60,6 +63,23 @@ struct TileConfig {
   int pipeline_stages = 2;      // double buffering (Fig. 4(d))
   int meta_prefetch_stage = 4;  // MetaPrefetchStage of Algorithm 1
 };
+
+/// Rejects a TileConfig the models cannot use, with a named error: tn,
+/// tk and meta_prefetch_stage must be >= 1, and pipeline_stages >=
+/// min_pipeline_stages (0 for the stats models, whose stages ablation
+/// models an unpipelined kernel; 1 for PipelineSchedule).
+inline void ValidateTileConfig(const TileConfig& cfg,
+                               int min_pipeline_stages) {
+  SHFLBW_CHECK_MSG(cfg.tn >= 1, "TileConfig.tn must be >= 1, got " << cfg.tn);
+  SHFLBW_CHECK_MSG(cfg.tk >= 1, "TileConfig.tk must be >= 1, got " << cfg.tk);
+  SHFLBW_CHECK_MSG(cfg.meta_prefetch_stage >= 1,
+                   "TileConfig.meta_prefetch_stage must be >= 1, got "
+                       << cfg.meta_prefetch_stage);
+  SHFLBW_CHECK_MSG(cfg.pipeline_stages >= min_pipeline_stages,
+                   "TileConfig.pipeline_stages must be >= "
+                       << min_pipeline_stages << ", got "
+                       << cfg.pipeline_stages);
+}
 
 /// Tensor-core MMA instruction granularity (mma.sync.m16n8k16, §2.1).
 inline constexpr int kMmaM = 16;

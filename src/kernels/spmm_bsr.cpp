@@ -11,6 +11,7 @@ namespace shflbw {
 
 KernelStats SpmmBsrStats(int m, int n, int k, double nnz_blocks, int v,
                          const GpuSpec& spec, const TileConfig& cfg) {
+  ValidateTileConfig(cfg, /*min_pipeline_stages=*/0);
   KernelStats s;
   s.kernel_name = "cusparse-bsrmm";
   s.kernel_class = KernelClass::kBsrTensorCore;

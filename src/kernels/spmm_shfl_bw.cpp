@@ -2,13 +2,10 @@
 
 namespace shflbw {
 
-Matrix<float> SpmmShflBw(const ShflBwMatrix& a, const Matrix<float>& b,
-                         const TileConfig& cfg,
-                         std::vector<PipelineEvent>* pipeline_trace) {
-  // Hot path lives in RunVwFamilyKernel's ExecuteVwTile (the SHFLBW_HOT
-  // region in spmm_vector_wise.cpp); this wrapper only shapes operands.
-  return RunVwFamilyKernel(a.vw, a.storage_to_original, b, cfg,
-                           pipeline_trace);
+Matrix<float> SpmmShflBw(const ShflBwMatrix& a, const Matrix<float>& b) {
+  // Hot path lives in RunVwFamilyKernel (the SHFLBW_HOT region in
+  // spmm_vector_wise.cpp); this wrapper only shapes operands.
+  return RunVwFamilyKernel(a.vw, a.storage_to_original, b);
 }
 
 KernelStats SpmmShflBwStats(const ShflBwMatrix& a, int n,

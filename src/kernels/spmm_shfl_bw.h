@@ -4,7 +4,8 @@
 //       over reordered rows + original row indices);
 //   (b) in-buffer stitching of the dense operand (§4.3);
 //   (c) tensor-core MMA over dense stitched tiles;
-//   (d) two-level pipelining with bulk metadata prefetch (§4.4);
+//   (d) two-level pipelining with bulk metadata prefetch (§4.4),
+//       modelled by PipelineSchedule rather than executed;
 //   (e) reordered write-back to original row positions (§4.2).
 #pragma once
 
@@ -15,11 +16,8 @@
 namespace shflbw {
 
 /// C = A_shflbw * B on tensor-cores; C rows are in ORIGINAL order.
-/// pipeline_trace, when non-null, receives the pipeline counter trace of
-/// the first tile (for testing the Algorithm 1 prefetch schedule).
-Matrix<float> SpmmShflBw(const ShflBwMatrix& a, const Matrix<float>& b,
-                         const TileConfig& cfg = {},
-                         std::vector<PipelineEvent>* pipeline_trace = nullptr);
+/// Algorithm 1's pipeline schedule is modelled by PipelineSchedule.
+Matrix<float> SpmmShflBw(const ShflBwMatrix& a, const Matrix<float>& b);
 
 /// Stats model of SpmmShflBw on `a` with n activation columns, at the
 /// default tile configuration.

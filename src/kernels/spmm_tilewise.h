@@ -14,8 +14,9 @@ namespace shflbw {
 inline constexpr int kTilewiseV = 128;
 inline constexpr int kTilewiseStreams = 8;
 
-/// Tile configuration of the Tilewise kernel. Its execute is
-/// SpmmVectorWise at this configuration on a V=128 matrix.
+/// Tile configuration of the Tilewise stats model. Its execute is
+/// SpmmVectorWise on a V=128 matrix; the config differs from VW's only
+/// in what the stats model counts.
 TileConfig TilewiseConfig();
 
 /// Stats-only model at stored density alpha (V fixed to 128).

@@ -12,8 +12,9 @@ namespace shflbw {
 
 inline constexpr int kVectorSparseV = 8;
 
-/// Tile configuration of the VectorSparse kernel. Its execute is
-/// SpmmVectorWise at this configuration on a V<=8 matrix.
+/// Tile configuration of the VectorSparse stats model. Its execute is
+/// SpmmVectorWise on a V<=8 matrix; the config differs from VW's only in
+/// what the stats model counts.
 TileConfig VectorSparseConfig();
 
 /// Stats-only model at stored density alpha (V fixed to 8).

@@ -14,6 +14,7 @@
 #include "common/check.h"
 #include "common/clock.h"
 #include "common/thread_pool.h"
+#include "kernels/spmm_vector_wise.h"
 #include "quality/quality_planner.h"
 #include "runtime/format.h"
 
@@ -887,6 +888,7 @@ obs::StatusReport BatchServer::Status() const {
     s.AddText("cxx_flags", bi.cxx_flags);
     s.AddNumber("cxx_standard", static_cast<double>(bi.cxx_standard));
     s.AddNumber("obs_compiled_in", bi.obs_compiled_in ? 1 : 0);
+    s.AddText("kernel_tier", KernelTierName(ActiveKernelTier()));
     s.AddNumber("threads", ParallelThreadCount());
     s.AddNumber("uptime_seconds", now - start_seconds_);
   }

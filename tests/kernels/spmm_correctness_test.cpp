@@ -82,8 +82,7 @@ TEST_P(SpmmCorrectness, VectorSparseMatchesReference) {
       PruneVectorWise(weights_, GetParam().density, kVectorSparseV);
   const VectorWiseMatrix vw =
       VectorWiseMatrix::FromDense(pruned, kVectorSparseV);
-  EXPECT_EQ(SpmmVectorWise(vw, b_, VectorSparseConfig()),
-            GemmReference(pruned, b_));
+  EXPECT_EQ(SpmmVectorWise(vw, b_), GemmReference(pruned, b_));
 }
 
 TEST_P(SpmmCorrectness, Balanced24MatchesReference) {
@@ -107,7 +106,7 @@ TEST(SpmmTilewiseCorrectness, MatchesReference) {
   const Matrix<float> b = rng.NormalMatrix(64, 16);
   const Matrix<float> pruned = PruneVectorWise(w, 0.25, kTilewiseV);
   const VectorWiseMatrix vw = VectorWiseMatrix::FromDense(pruned, kTilewiseV);
-  EXPECT_EQ(SpmmVectorWise(vw, b, TilewiseConfig()), GemmReference(pruned, b));
+  EXPECT_EQ(SpmmVectorWise(vw, b), GemmReference(pruned, b));
 }
 
 TEST(SpmmEdgeCases, EmptySparseMatrixGivesZeros) {

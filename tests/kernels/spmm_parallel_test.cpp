@@ -104,7 +104,7 @@ TEST_P(SpmmParallelDeterminism, VectorSparse) {
   const VectorWiseMatrix vw =
       VectorWiseMatrix::FromDense(pruned, kVectorSparseV);
   ExpectThreadCountInvariant(
-      [&] { return SpmmVectorWise(vw, b_, VectorSparseConfig()); },
+      [&] { return SpmmVectorWise(vw, b_); },
       "vector-sparse");
 }
 
@@ -133,7 +133,7 @@ TEST(SpmmParallelDeterminismTilewise, MatchesAcrossThreadCounts) {
   const Matrix<float> pruned = PruneVectorWise(w, 0.25, kTilewiseV);
   const VectorWiseMatrix vw = VectorWiseMatrix::FromDense(pruned, kTilewiseV);
   ExpectThreadCountInvariant(
-      [&] { return SpmmVectorWise(vw, b, TilewiseConfig()); }, "tilewise");
+      [&] { return SpmmVectorWise(vw, b); }, "tilewise");
   SetParallelThreads(0);
 }
 

@@ -1,6 +1,10 @@
-// Tests of the Algorithm 1 software-pipeline mechanics: the skewed
-// metaload/load/MMA counters and the two-level prefetch invariant
-// ("metadata of future weight tiles is loaded ahead of time", §4.4).
+// Tests of the Algorithm 1 software-pipeline model (PipelineSchedule):
+// the skewed metaload/load/MMA counters and the two-level prefetch
+// invariant ("metadata of future weight tiles is loaded ahead of time",
+// §4.4).
+#include <algorithm>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -10,15 +14,13 @@
 namespace shflbw {
 namespace {
 
+/// The schedule of the first tile (row group 0) of a pruned layer.
 std::vector<PipelineEvent> TraceFor(int m, int k, double density,
                                     const TileConfig& cfg) {
   Rng rng(101);
   const Matrix<float> w = rng.NormalMatrix(m, k);
   const ShflBwMatrix sm = PruneToShflBw(w, density, 8);
-  const Matrix<float> b = rng.NormalMatrix(k, 16);
-  std::vector<PipelineEvent> trace;
-  SpmmShflBw(sm, b, cfg, &trace);
-  return trace;
+  return PipelineSchedule(sm.vw.KeptColumnsInGroup(0), cfg);
 }
 
 TEST(Pipeline, CountersAreSkewed) {
@@ -67,59 +69,64 @@ TEST(Pipeline, PrologueWarmsUpBeforeFirstMma) {
   EXPECT_EQ(prologue, cfg.meta_prefetch_stage + cfg.pipeline_stages);
 }
 
-TEST(Pipeline, ResultsIndependentOfPipelineDepth) {
-  // The pipeline is a latency-hiding mechanism; functional results must
-  // be identical under any legal (stages >= 1) configuration.
-  Rng rng(103);
-  const Matrix<float> w = rng.NormalMatrix(32, 64);
-  const ShflBwMatrix sm = PruneToShflBw(w, 0.25, 8);
-  const Matrix<float> b = rng.NormalMatrix(64, 24);
-  TileConfig base;
-  base.tk = 8;
-  base.pipeline_stages = 1;
-  base.meta_prefetch_stage = 1;
-  const Matrix<float> ref = SpmmShflBw(sm, b, base);
-  for (int stages : {2, 3, 5}) {
+TEST(Pipeline, EveryStepIsStitchedAndMultipliedOnceInOrder) {
+  // The pipeline only hides latency: at any legal depth every k-step is
+  // stitched once and multiplied once, in ascending order, which is why
+  // the CPU execute can walk the kept vectors directly.
+  const int kept = 37;
+  for (int stages : {1, 2, 3, 5}) {
     for (int meta : {1, 2, 4, 16}) {
       TileConfig cfg;
       cfg.tk = 8;
       cfg.pipeline_stages = stages;
       cfg.meta_prefetch_stage = meta;
-      EXPECT_EQ(SpmmShflBw(sm, b, cfg), ref)
-          << "stages=" << stages << " meta=" << meta;
+      std::vector<int> loads, mmas;
+      for (const PipelineEvent& e : PipelineSchedule(kept, cfg)) {
+        if (e.load_step >= 0 && e.load_step < 5) loads.push_back(e.load_step);
+        if (e.mma_step >= 0) mmas.push_back(e.mma_step);
+      }
+      const std::vector<int> steps = {0, 1, 2, 3, 4};  // ceil(37 / 8)
+      EXPECT_EQ(loads, steps) << "stages=" << stages << " meta=" << meta;
+      EXPECT_EQ(mmas, steps) << "stages=" << stages << " meta=" << meta;
     }
   }
 }
 
-TEST(Pipeline, ResultsIndependentOfTileSizes) {
-  Rng rng(107);
-  const Matrix<float> w = rng.NormalMatrix(32, 96);
-  const ShflBwMatrix sm = PruneToShflBw(w, 0.3, 16);
-  const Matrix<float> b = rng.NormalMatrix(96, 40);
-  TileConfig base;
-  const Matrix<float> ref = SpmmShflBw(sm, b, base);
+TEST(Pipeline, StepsCoverEveryKeptVectorAtAnyTk) {
+  const int kept = 29;
   for (int tk : {1, 2, 4, 8, 16, 32}) {
-    for (int tn : {8, 16, 64, 128}) {
-      TileConfig cfg;
-      cfg.tk = tk;
-      cfg.tn = tn;
-      EXPECT_EQ(SpmmShflBw(sm, b, cfg), ref)
-          << "tk=" << tk << " tn=" << tn;
+    TileConfig cfg;
+    cfg.tk = tk;
+    int covered = 0;
+    int steps = 0;
+    for (const PipelineEvent& e : PipelineSchedule(kept, cfg)) {
+      if (e.mma_step < 0) continue;
+      covered += std::min(tk, kept - e.mma_step * tk);
+      ++steps;
     }
+    EXPECT_EQ(steps, (kept + tk - 1) / tk) << "tk=" << tk;
+    EXPECT_EQ(covered, kept) << "tk=" << tk;
   }
 }
 
 TEST(Pipeline, InvalidConfigRejected) {
-  Rng rng(109);
-  const Matrix<float> w = rng.NormalMatrix(16, 16);
-  const ShflBwMatrix sm = PruneToShflBw(w, 0.5, 4);
-  const Matrix<float> b = rng.NormalMatrix(16, 4);
   TileConfig cfg;
   cfg.pipeline_stages = 0;
-  EXPECT_THROW(SpmmShflBw(sm, b, cfg), Error);
+  EXPECT_THROW((void)PipelineSchedule(8, cfg), Error);
   cfg = TileConfig{};
   cfg.tk = 0;
-  EXPECT_THROW(SpmmShflBw(sm, b, cfg), Error);
+  EXPECT_THROW((void)PipelineSchedule(8, cfg), Error);
+  cfg = TileConfig{};
+  cfg.tn = 0;
+  EXPECT_THROW((void)PipelineSchedule(8, cfg), Error);
+  cfg = TileConfig{};
+  cfg.meta_prefetch_stage = 0;
+  EXPECT_THROW((void)PipelineSchedule(8, cfg), Error);
+  EXPECT_THROW((void)PipelineSchedule(-1, TileConfig{}), Error);
+  // A skew whose counters would overflow int.
+  cfg = TileConfig{};
+  cfg.meta_prefetch_stage = std::numeric_limits<int>::max();
+  EXPECT_THROW((void)PipelineSchedule(8, cfg), Error);
 }
 
 }  // namespace

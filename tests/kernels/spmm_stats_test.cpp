@@ -125,6 +125,43 @@ TEST(SpmmStats, UniformKeptModelsRejectPartialRowGroups) {
   EXPECT_DOUBLE_EQ(s.dram_write_bytes, 2048.0 * 128 * kHalfBytes);
 }
 
+TEST(SpmmStats, MalformedTileConfigThrowsNamedError) {
+  // A zero tk or tn used to reach a float-to-int conversion of inf/NaN
+  // in the VW-family model (undefined behaviour); every field is now
+  // checked by name. pipeline_stages = 0 stays legal: the Algorithm 1
+  // stages ablation models an unpipelined kernel.
+  const auto expect_named_error = [](const TileConfig& cfg,
+                                     const char* needle) {
+    try {
+      (void)SpmmShflBwStats(1024, 128, 1024, 0.25, 32, Spec(), cfg);
+      ADD_FAILURE() << "expected an error mentioning '" << needle << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  TileConfig cfg;
+  cfg.tk = 0;
+  expect_named_error(cfg, "TileConfig.tk must be >= 1, got 0");
+  cfg = TileConfig{};
+  cfg.tn = 0;
+  expect_named_error(cfg, "TileConfig.tn must be >= 1, got 0");
+  cfg.tn = -5;
+  expect_named_error(cfg, "TileConfig.tn must be >= 1, got -5");
+  cfg = TileConfig{};
+  cfg.meta_prefetch_stage = 0;
+  expect_named_error(cfg, "TileConfig.meta_prefetch_stage must be >= 1");
+  cfg = TileConfig{};
+  cfg.pipeline_stages = -1;
+  expect_named_error(cfg, "TileConfig.pipeline_stages must be >= 0, got -1");
+
+  cfg = TileConfig{};
+  cfg.pipeline_stages = 0;
+  EXPECT_EQ(SpmmShflBwStats(1024, 128, 1024, 0.25, 32, Spec(), cfg)
+                .pipeline_stages,
+            0);
+}
+
 TEST(SpmmStats, PaddedMacsAtLeastUseful) {
   for (double alpha : {0.03, 0.1, 0.33}) {
     const KernelStats s = SpmmShflBwStats(512, 100, 512, alpha, 32, Spec());

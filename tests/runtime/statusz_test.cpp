@@ -18,6 +18,7 @@
 #include "benchdiff/benchdiff.h"
 #include "common/clock.h"
 #include "common/thread_pool.h"
+#include "kernels/spmm_vector_wise.h"
 #include "obs/obs_config.h"
 #include "obs/statusz.h"
 #include "runtime/server.h"
@@ -114,6 +115,18 @@ TEST(BatchServer, StatusExposesEveryOperationalSection) {
         "worker_pool", "watchdog", "flight_recorder", "plan"}) {
     EXPECT_EQ(names.count(want), 1u) << "missing section " << want;
   }
+  // The build section names the VW-family kernel tier this host runs.
+  bool tier_reported = false;
+  for (const obs::StatusSection& s : report.sections) {
+    if (s.name != "build") continue;
+    for (const obs::StatusItem& item : s.items) {
+      if (item.key == "kernel_tier") {
+        EXPECT_EQ(item.text, KernelTierName(ActiveKernelTier()));
+        tier_reported = true;
+      }
+    }
+  }
+  EXPECT_TRUE(tier_reported);
 
   // The two replica scheduler threads appear (and stay registered for
   // the server's lifetime) in the replicas table.

@@ -4,7 +4,8 @@
 // still line up), glob matching and first-match-wins rule resolution
 // behave, a self-diff is always clean, and an injected
 // beyond-threshold throughput drop is flagged as a regression while
-// equal-sized noise on an un-gated metric is not.
+// equal-sized noise on an un-gated metric is not, and runs at different
+// thread counts or build types are refused by name.
 #include <map>
 #include <string>
 #include <vector>
@@ -169,6 +170,46 @@ TEST(Diff, FirstMatchingRuleWinsAndIgnoreNeverGates) {
   for (const MetricRule& d : DefaultRules()) rules.push_back(d);
   EXPECT_EQ(Diff(old_run, new_run, rules).regressions, 0);  // 16 -> 1 fell
   EXPECT_EQ(Diff(new_run, old_run, rules).regressions, 1);  // 1 -> 16 rose
+}
+
+TEST(Diff, RefusesRunsAtDifferentThreadCounts) {
+  const JsonValue one = MustParse(
+      "{\"provenance\": {\"git_sha\": \"a\", \"build_type\": \"Release\","
+      " \"kernel_tier\": \"baseline\", \"threads\": 1}, \"x_ms\": 1}");
+  const JsonValue four = MustParse(
+      "{\"provenance\": {\"git_sha\": \"a\", \"build_type\": \"Release\","
+      " \"kernel_tier\": \"baseline\", \"threads\": 4}, \"x_ms\": 1}");
+  EXPECT_EQ(IncomparableProvenance(one, four),
+            "provenance.threads differs: 1 vs 4");
+  EXPECT_EQ(IncomparableProvenance(four, one),
+            "provenance.threads differs: 4 vs 1");
+
+  const JsonValue debug = MustParse(
+      "{\"provenance\": {\"git_sha\": \"a\", \"build_type\": \"Debug\","
+      " \"kernel_tier\": \"baseline\", \"threads\": 1}, \"x_ms\": 1}");
+  EXPECT_EQ(IncomparableProvenance(one, debug),
+            "provenance.build_type differs: Release vs Debug");
+
+  // Another sha or kernel tier labels the runs but does not block them.
+  const JsonValue other = MustParse(
+      "{\"provenance\": {\"git_sha\": \"b\", \"build_type\": \"Release\","
+      " \"kernel_tier\": \"x86-64-v4\", \"threads\": 1}, \"x_ms\": 1}");
+  EXPECT_EQ(IncomparableProvenance(one, other), "");
+  EXPECT_EQ(ProvenanceChanges(one, other),
+            (std::vector<std::string>{"git_sha: a -> b",
+                                      "kernel_tier: baseline -> x86-64-v4"}));
+  EXPECT_EQ(IncomparableProvenance(one, one), "");
+  EXPECT_TRUE(ProvenanceChanges(one, one).empty());
+
+  // A run without a key (an older baseline) cannot be checked on it.
+  const JsonValue old_baseline = MustParse(
+      "{\"provenance\": {\"git_sha\": \"a\", \"build_type\": \"Release\","
+      " \"threads\": 1}, \"x_ms\": 1}");
+  EXPECT_EQ(IncomparableProvenance(old_baseline, four),
+            "provenance.threads differs: 1 vs 4");
+  EXPECT_EQ(ProvenanceChanges(old_baseline, one),
+            (std::vector<std::string>{"kernel_tier: (absent) -> baseline"}));
+  EXPECT_EQ(IncomparableProvenance(MustParse("{\"x_ms\": 1}"), four), "");
 }
 
 TEST(Diff, BitIdenticalFlagsHaveZeroTolerance) {

@@ -333,6 +333,70 @@ std::map<std::string, double> FlattenNumeric(const JsonValue& root) {
   return out;
 }
 
+// ---- Comparability ------------------------------------------------------
+
+namespace {
+
+/// The provenance member `key` of a run, or nullptr.
+const JsonValue* ProvenanceMember(const JsonValue& run,
+                                  const std::string& key) {
+  const JsonValue* provenance = run.Find("provenance");
+  return provenance != nullptr ? provenance->Find(key) : nullptr;
+}
+
+std::string Describe(const JsonValue& v) {
+  if (v.type == JsonValue::Type::kString) return v.str;
+  std::ostringstream os;
+  os << v.number;
+  return os.str();
+}
+
+}  // namespace
+
+std::string IncomparableProvenance(const JsonValue& old_run,
+                                   const JsonValue& new_run) {
+  for (const char* key : {"threads", "build_type"}) {
+    const JsonValue* a = ProvenanceMember(old_run, key);
+    const JsonValue* b = ProvenanceMember(new_run, key);
+    if (a == nullptr || b == nullptr) continue;
+    if (a->type != b->type || a->str != b->str || a->number != b->number) {
+      return std::string("provenance.") + key + " differs: " + Describe(*a) +
+             " vs " + Describe(*b);
+    }
+  }
+  return "";
+}
+
+std::vector<std::string> ProvenanceChanges(const JsonValue& old_run,
+                                           const JsonValue& new_run) {
+  // String keys of either provenance block, old run's order first.
+  std::vector<std::string> keys;
+  for (const JsonValue* run : {&old_run, &new_run}) {
+    const JsonValue* provenance = run->Find("provenance");
+    if (provenance == nullptr) continue;
+    for (const auto& [key, value] : provenance->object) {
+      if (value.type == JsonValue::Type::kString &&
+          std::find(keys.begin(), keys.end(), key) == keys.end()) {
+        keys.push_back(key);
+      }
+    }
+  }
+  const auto text = [](const JsonValue* v) {
+    return v != nullptr && v->type == JsonValue::Type::kString
+               ? v->str
+               : std::string("(absent)");
+  };
+  std::vector<std::string> changes;
+  for (const std::string& key : keys) {
+    const std::string old_text = text(ProvenanceMember(old_run, key));
+    const std::string new_text = text(ProvenanceMember(new_run, key));
+    if (old_text != new_text) {
+      changes.push_back(key + ": " + old_text + " -> " + new_text);
+    }
+  }
+  return changes;
+}
+
 // ---- Rules --------------------------------------------------------------
 
 bool GlobMatch(std::string_view pattern, std::string_view text) {

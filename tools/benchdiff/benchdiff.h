@@ -63,6 +63,23 @@ struct JsonValue {
 [[nodiscard]] std::map<std::string, double> FlattenNumeric(
     const JsonValue& root);
 
+// ---- Comparability ------------------------------------------------------
+
+/// The named error that makes two runs incomparable, or "" when they can
+/// be compared: their provenance.threads or provenance.build_type
+/// differ. A 4-thread run against a 1-thread baseline (or a Release run
+/// against a Debug one) would let a real regression read as noise, so
+/// the CLI refuses such a pair with exit 2. A key missing from either
+/// run cannot be checked and is not an error.
+[[nodiscard]] std::string IncomparableProvenance(const JsonValue& old_run,
+                                                 const JsonValue& new_run);
+
+/// Every string member of provenance that differs between the runs
+/// (git_sha, compiler, kernel_tier, ...), as "key: old -> new" with
+/// "(absent)" for a missing side. Informational: they label the runs.
+[[nodiscard]] std::vector<std::string> ProvenanceChanges(
+    const JsonValue& old_run, const JsonValue& new_run);
+
 // ---- Rules and diffing --------------------------------------------------
 
 enum class Direction {

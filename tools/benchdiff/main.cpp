@@ -5,9 +5,11 @@
 //
 // Flattens both BENCH_*.json documents to path -> number maps, diffs
 // them under the rule list (any --rule flags are prepended to the
-// built-in defaults, so they take precedence), prints the per-metric
+// built-in defaults, so they take precedence), prints the provenance
+// strings that differ (git_sha, kernel_tier, ...) and the per-metric
 // delta table, and exits 0 when no gated metric regressed, 1 when one
-// did, 2 on usage / IO / parse errors. DIR is one of higher | lower |
+// did, 2 on usage / IO / parse errors and when the two runs are not
+// comparable (provenance.threads or provenance.build_type differ). DIR is one of higher | lower |
 // exact (either direction regresses) | ignore; REL is the relative noise threshold (fraction of |old|) and
 // ABS the absolute floor. --rel-scale multiplies every relative
 // threshold (CI passes >1 on noisy shared runners).
@@ -112,6 +114,7 @@ int main(int argc, char** argv) {
   const std::vector<MetricRule> defaults = shflbw::benchdiff::DefaultRules();
   rules.insert(rules.end(), defaults.begin(), defaults.end());
 
+  shflbw::benchdiff::JsonValue docs[2];
   std::map<std::string, double> flat[2];
   for (int i = 0; i < 2; ++i) {
     std::string text;
@@ -120,19 +123,31 @@ int main(int argc, char** argv) {
                 << paths[static_cast<std::size_t>(i)] << "\n";
       return 2;
     }
-    shflbw::benchdiff::JsonValue doc;
     std::string error;
-    if (!shflbw::benchdiff::ParseJson(text, &doc, &error)) {
+    if (!shflbw::benchdiff::ParseJson(text, &docs[i], &error)) {
       std::cerr << "benchdiff: " << paths[static_cast<std::size_t>(i)]
                 << ": " << error << "\n";
       return 2;
     }
-    flat[i] = shflbw::benchdiff::FlattenNumeric(doc);
+    flat[i] = shflbw::benchdiff::FlattenNumeric(docs[i]);
+  }
+  const std::string incomparable =
+      shflbw::benchdiff::IncomparableProvenance(docs[0], docs[1]);
+  if (!incomparable.empty()) {
+    std::cerr << "benchdiff: refusing to compare " << paths[0] << " with "
+              << paths[1] << ": " << incomparable << "\n";
+    return 2;
   }
 
   const shflbw::benchdiff::DiffResult result =
       shflbw::benchdiff::Diff(flat[0], flat[1], rules, rel_scale);
-  std::cout << "benchdiff: " << paths[0] << " -> " << paths[1] << "\n"
-            << shflbw::benchdiff::RenderTable(result);
+  std::cout << "benchdiff: " << paths[0] << " -> " << paths[1] << "\n";
+  const std::vector<std::string> changes =
+      shflbw::benchdiff::ProvenanceChanges(docs[0], docs[1]);
+  if (!changes.empty()) {
+    std::cout << "provenance (informational):\n";
+    for (const std::string& c : changes) std::cout << "  " << c << "\n";
+  }
+  std::cout << shflbw::benchdiff::RenderTable(result);
   return result.regressions > 0 ? 1 : 0;
 }
