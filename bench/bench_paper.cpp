@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <functional>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -33,8 +34,8 @@
 #include "arch/intensity.h"
 #include "arch/occupancy.h"
 #include "bench_util.h"
+#include "common/check.h"
 #include "common/rng.h"
-#include "core/evaluator.h"
 #include "kernels/gemm_dense.h"
 #include "kernels/layernorm_fuse.h"
 #include "kernels/spmm_csr.h"
@@ -52,6 +53,8 @@
 #include "prune/shfl_bw_search.h"
 #include "prune/taylor_importance.h"
 #include "prune/vector_wise_prune.h"
+#include "quality/quality_evaluator.h"
+#include "runtime/planner.h"
 
 namespace shflbw {
 namespace {
@@ -281,18 +284,108 @@ void Fig1(Section& s) {
               Printed(c) >= 50 && Printed(c) <= 60);
 }
 
+// ---- Model speedup and proxy quality (Fig. 2, Fig. 6, Table 1, §7) ------
+
+/// Modelled seconds of one invocation of a layer, or nullopt where the
+/// kernel cannot run it.
+using LayerSecondsFn =
+    std::function<std::optional<double>(const runtime::LayerDesc&)>;
+
+/// Whole-model speedup of `sparse_seconds` over the dense baseline on
+/// `arch` (§6.1: the sum of the compute-intensive layers, each weighted
+/// by its repeat count), or nullopt where some layer cannot run.
+std::optional<double> ModelSpeedup(const runtime::ModelDesc& model,
+                                   const LayerSecondsFn& sparse_seconds,
+                                   GpuArch arch) {
+  runtime::PlannerOptions dense;
+  dense.arch = arch;
+  double dense_s = 0.0, sparse_s = 0.0;
+  for (const runtime::LayerDesc& l : model.layers) {
+    const auto s = sparse_seconds(l);
+    if (!s) return std::nullopt;
+    dense_s +=
+        *runtime::ModeledLayerSeconds(l, runtime::Format::kDense, dense) *
+        l.repeat;
+    sparse_s += *s * l.repeat;
+  }
+  return dense_s / sparse_s;
+}
+
+/// The same for `format` at (density, v), each layer timed exactly as a
+/// plan pinned to that format times it (runtime::ModeledLayerSeconds).
+std::optional<double> ModelSpeedup(const runtime::ModelDesc& model,
+                                   runtime::Format format, double density,
+                                   int v, GpuArch arch) {
+  runtime::PlannerOptions point;
+  point.density = density;
+  point.v = v;
+  point.arch = arch;
+  return ModelSpeedup(
+      model,
+      [&](const runtime::LayerDesc& l) {
+        return runtime::ModeledLayerSeconds(l, format, point);
+      },
+      arch);
+}
+
+/// Maps relative retention to the model's quality metric:
+///   score = dense_score * relative_retention^sensitivity.
+/// Unstructured pruning maps to ~dense_score (matching the paper, where
+/// fine-tuned unstructured models sit within a few tenths of dense);
+/// structured patterns are discounted by how much pattern-constrained
+/// selection loses versus free selection. `sensitivity` is calibrated
+/// per model (docs/REPRODUCTION.md §2); pattern orderings are
+/// independent of it.
+double ProxyQuality(double dense_score, double relative_retention,
+                    double sensitivity) {
+  SHFLBW_CHECK_MSG(relative_retention >= 0.0 && relative_retention <= 1.0001,
+                   "relative_retention " << relative_retention);
+  return dense_score *
+         std::pow(std::min(relative_retention, 1.0), sensitivity);
+}
+
+/// A proxy weight: the m x k master SynthesizeWeights draws at `seed`.
+struct ProxyWeight {
+  int m, k;
+  std::uint64_t seed;
+};
+
+/// Proxy score of pruning every weight in `weights` to `format` at
+/// (density, v). Its retained importance, relative to unstructured
+/// pruning at the same density (the pattern penalty, isolated from the
+/// sparsity penalty that fine-tuning largely recovers), goes through
+/// ProxyQuality. Retained importance is the planner's: `evaluator`
+/// scores each weight as a one-GEMM layer.
+double ProxyScore(quality::QualityEvaluator& evaluator,
+                  const std::vector<ProxyWeight>& weights,
+                  runtime::Format format, double density, int v,
+                  double dense_score, double sensitivity) {
+  double retained = 0.0, unstructured = 0.0;
+  for (const ProxyWeight& w : weights) {
+    runtime::LayerDesc l;
+    l.gemm = {"proxy", w.m, 1, w.k};
+    const double total = evaluator.LayerTotalScore(l, 0, w.seed);
+    retained +=
+        evaluator.LayerRetainedRatio(l, 0, w.seed, format, density, v) * total;
+    unstructured += evaluator.LayerRetainedRatio(
+                        l, 0, w.seed, runtime::Format::kCsr, density, v) *
+                    total;
+  }
+  return ProxyQuality(dense_score,
+                      unstructured > 0.0 ? retained / unstructured : 0.0,
+                      sensitivity);
+}
+
 // ---- Figure 2 -----------------------------------------------------------
 
 /// GNMT proxy weights: one synthetic weight matrix per distinct GNMT
 /// layer shape, scaled down 4x in each dimension to keep the search
 /// tractable while preserving the V:rows ratios.
-std::vector<Matrix<float>> GnmtProxyWeights() {
-  std::vector<Matrix<float>> weights;
-  int i = 0;
+std::vector<ProxyWeight> GnmtProxyWeights() {
+  std::vector<ProxyWeight> weights;
+  std::uint64_t seed = 7000;
   for (const GemmLayerSpec& l : GnmtLayers()) {
-    SynthWeightOptions opt;
-    opt.seed = 7000 + i++;
-    weights.push_back(SynthesizeWeights(l.m / 4, l.k / 4, opt));
+    weights.push_back({l.m / 4, l.k / 4, seed++});
   }
   return weights;
 }
@@ -308,7 +401,8 @@ void Fig2(Section& s) {
   constexpr double kDenseBleu = 24.6;
   constexpr double kSensitivity = 0.52;
   const runtime::ModelDesc gnmt = runtime::ModelDesc::Gnmt();
-  const auto weights = GnmtProxyWeights();
+  const std::vector<ProxyWeight> weights = GnmtProxyWeights();
+  quality::QualityEvaluator evaluator;
 
   bench::Title(
       "Figure 2 — GNMT accuracy vs speedup on V100 (sparsity 80% -> 90%)\n"
@@ -335,13 +429,10 @@ void Fig2(Section& s) {
   for (const Curve& c : curves) {
     for (double sparsity : {0.80, 0.85, 0.90}) {
       const double density = 1.0 - sparsity;
-      const QualityResult q = EvaluateQuality(
-          weights, c.format, density, c.v, kDenseBleu, kSensitivity);
-      const auto perf =
-          EvaluateModel(gnmt, c.format, density, c.v, GpuArch::kV100);
       t.Add(Fmt("%-18s %8.0f%%", c.name, sparsity * 100),
-            {q.proxy_score,
-             perf ? std::optional<double>(perf->speedup) : std::nullopt});
+            {ProxyScore(evaluator, weights, c.format, density, c.v,
+                        kDenseBleu, kSensitivity),
+             ModelSpeedup(gnmt, c.format, density, c.v, GpuArch::kV100)});
     }
   }
   s.AddValue("block_wise_v32_80pct_bleu", t.Text("Block-wise V=32 80%", 0),
@@ -429,13 +520,13 @@ const std::vector<double> kFig6Sparsities{0.50, 0.75, 0.85, 0.95};
 
 /// Modelled whole-model speedup of `row` at kept density `density`, or
 /// nullopt where its kernel cannot run some layer.
-std::optional<ModelSpeedup> Fig6Cell(const Fig6Row& row,
-                                     const runtime::ModelDesc& model,
-                                     double density, const GpuSpec& spec) {
+std::optional<double> Fig6Cell(const Fig6Row& row,
+                               const runtime::ModelDesc& model,
+                               double density, const GpuSpec& spec) {
   if (row.format) {
-    return EvaluateModel(model, *row.format, density, row.v, spec.arch);
+    return ModelSpeedup(model, *row.format, density, row.v, spec.arch);
   }
-  return EvaluateModel(
+  return ModelSpeedup(
       model,
       [&](const runtime::LayerDesc& l) -> std::optional<double> {
         if (l.kind != runtime::LayerKind::kGemm) return std::nullopt;
@@ -462,8 +553,7 @@ void Fig6Panel(Section& s, const GpuSpec& spec,
     if (row.v100_only && spec.arch != GpuArch::kV100) continue;
     std::vector<std::optional<double>> cells;
     for (double sp : kFig6Sparsities) {
-      const auto r = Fig6Cell(row, model, 1.0 - sp, spec);
-      cells.push_back(r ? std::optional<double>(r->speedup) : std::nullopt);
+      cells.push_back(Fig6Cell(row, model, 1.0 - sp, spec));
     }
     t.Add(Fmt("%-22s", row.name), cells);
   }
@@ -489,9 +579,10 @@ void Fig6(Section& s) {
     const double paper = spec.arch == GpuArch::kV100 ? 1.81
                          : spec.arch == GpuArch::kT4 ? 4.18
                                                      : 1.90;
-    const auto r = EvaluateModel(transformer, runtime::Format::kShflBw, 0.25,
-                                 64, spec.arch);
-    const std::string got = Fixed(r->speedup, 2);
+    const std::string got = Fixed(
+        *ModelSpeedup(transformer, runtime::Format::kShflBw, 0.25, 64,
+                      spec.arch),
+        2);
     std::printf("%-6s modelled %5sx (paper: %sx)\n", spec.name.c_str(),
                 got.c_str(), Fixed(paper, 2).c_str());
     s.AddValue("headline_" + spec.name, got, {paper});
@@ -578,19 +669,19 @@ void Table1Proxy(Section& s) {
   }
   std::printf("\n");
   Table& t = s.AddTable("proxy", Columns(names, 20, 2));
+  quality::QualityEvaluator evaluator;
   for (double sparsity : {0.80, 0.90}) {
     for (const PatternRow& p : patterns) {
       std::vector<std::optional<double>> cells;
       for (const ModelProxy& m : kModels) {
-        std::vector<Matrix<float>> weights;
+        std::vector<ProxyWeight> weights;
         for (int i = 0; i < 3; ++i) {
-          SynthWeightOptions opt;
-          opt.seed = 9000 + i * 131 + m.m;
-          weights.push_back(SynthesizeWeights(m.m, m.k, opt));
+          weights.push_back(
+              {m.m, m.k, static_cast<std::uint64_t>(9000 + i * 131 + m.m)});
         }
-        cells.push_back(EvaluateQuality(weights, p.format, 1.0 - sparsity,
-                                        p.v, m.dense_score, m.sensitivity)
-                            .proxy_score);
+        cells.push_back(ProxyScore(evaluator, weights, p.format,
+                                   1.0 - sparsity, p.v, m.dense_score,
+                                   m.sensitivity));
       }
       t.Add(Fmt("%9.0f%% %-15s", sparsity * 100, p.name), cells);
     }
@@ -1267,9 +1358,8 @@ void Extension(Section& s) {
     for (const ModelRow& r : models) {
       std::vector<std::optional<double>> cells;
       for (double sparsity : {0.50, 0.75, 0.85, 0.95}) {
-        cells.push_back(EvaluateModel(r.model, runtime::Format::kShflBw,
-                                      1.0 - sparsity, 64, spec.arch)
-                            ->speedup);
+        cells.push_back(ModelSpeedup(r.model, runtime::Format::kShflBw,
+                                     1.0 - sparsity, 64, spec.arch));
       }
       t.Add(Fmt("%-14s", r.name), cells);
     }

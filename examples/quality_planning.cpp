@@ -6,6 +6,9 @@
 // floor in aggregate (importance-weighted) mode — then packs and runs
 // the quality-constrained plan, printing each layer's selected
 // (format, density, V) and the retained-score ratio its mask keeps.
+// Exits 1 if a layer of the per-layer plan retains less than its floor,
+// the aggregate plan's importance-weighted ratio misses its floor, or
+// a steady-state run packs a weight.
 //
 //   cmake -B build -S . && cmake --build build -j
 //   ./build/example_quality_planning
@@ -69,9 +72,10 @@ int main() {
   //    V=16 mask would miss the floor — and picks the fastest
   //    qualifying combination, falling back to dense where nothing
   //    sparse qualifies (try floor 0.8 here to see it).
+  constexpr double kLayerFloor = 0.60;
   EngineOptions qopts = opts;
   qopts.planner.quality.enabled = true;
-  qopts.planner.quality.min_retained_ratio = 0.60;
+  qopts.planner.quality.min_retained_ratio = kLayerFloor;
   qopts.planner.quality.v_ladder = {8, 16};
   Engine quality_engine(model, qopts);
   PrintPlan("quality-constrained plan (per-layer floor 0.60)",
@@ -81,8 +85,9 @@ int main() {
   //    importance-weighted mean must meet it, so the planner keeps the
   //    cheap layers sparse and spends dense latency only where the
   //    importance lives.
+  constexpr double kAggregateFloor = 0.65;
   EngineOptions aopts = qopts;
-  aopts.planner.quality.min_retained_ratio = 0.65;
+  aopts.planner.quality.min_retained_ratio = kAggregateFloor;
   aopts.planner.quality.floor = QualityOptions::Floor::kAggregate;
   Engine aggregate_engine(model, aopts);
   PrintPlan("quality-constrained plan (aggregate floor 0.65)",
@@ -116,5 +121,25 @@ int main() {
               qplan.ModeledTotalSeconds() > 0
                   ? qplan.ModeledDenseSeconds() / qplan.ModeledTotalSeconds()
                   : 0.0);
-  return 0;
+
+  bool ok = true;
+  for (const LayerPlan& l : qplan.layers) {
+    if (l.retained_ratio < kLayerFloor) {
+      std::printf("FAIL: %s retains %.3f, below the %.2f floor\n",
+                  l.name.c_str(), l.retained_ratio, kLayerFloor);
+      ok = false;
+    }
+  }
+  const double aggregate = aggregate_engine.Plan().AggregateRetainedRatio();
+  if (aggregate < kAggregateFloor) {
+    std::printf("FAIL: aggregate plan retains %.3f, below the %.2f floor\n",
+                aggregate, kAggregateFloor);
+    ok = false;
+  }
+  if (second.packs_performed != 0) {
+    std::printf("FAIL: the steady-state run packed %zu weights\n",
+                second.packs_performed);
+    ok = false;
+  }
+  return ok ? 0 : 1;
 }

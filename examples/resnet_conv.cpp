@@ -5,21 +5,25 @@
 #include <cstdio>
 
 #include "common/rng.h"
-#include "core/evaluator.h"
-#include "core/sparse_conv2d.h"
+#include "runtime/planner.h"
+#include "runtime/weight_cache.h"
 
 using namespace shflbw;
+using namespace shflbw::runtime;
 
 int main() {
   // conv4_x 3x3 layer (256->256 at 14x14), small batch for the
   // functional run.
-  ConvShape shape;
-  shape.batch = 2;
-  shape.in_c = 256;
-  shape.in_h = shape.in_w = 14;
-  shape.out_c = 256;
-  shape.kh = shape.kw = 3;
-  shape.pad = 1;
+  LayerDesc layer;
+  layer.kind = LayerKind::kConv;
+  layer.conv.name = "conv4.3x3";
+  layer.conv.batch = 2;
+  layer.conv.in_c = 256;
+  layer.conv.in_h = layer.conv.in_w = 14;
+  layer.conv.out_c = 256;
+  layer.conv.kh = layer.conv.kw = 3;
+  layer.conv.pad = 1;
+  const ConvShape shape = ToConvShape(layer.conv);
 
   Rng rng(2);
   const Matrix<float> filters =
@@ -27,35 +31,44 @@ int main() {
   Tensor4 input(shape.batch, shape.in_c, shape.in_h, shape.in_w);
   for (auto& v : input.data) v = static_cast<float>(rng.Normal());
 
-  SparseConv2d::Options opt;
-  opt.format = runtime::Format::kShflBw;
-  opt.density = 0.25;
-  opt.v = 32;
-  const SparseConv2d conv(filters, shape, opt);
+  PlannerOptions opts;
+  opts.density = 0.25;
+  opts.v = 32;
+  const PackedWeight packed =
+      PackWeight(Format::kShflBw, filters, opts.density, opts.v);
 
-  const Matrix<float> y = conv.Forward(input);
-  const Matrix<float> ref = Conv2dDense(input, conv.pruned_weights(), shape);
+  const Matrix<float> y = Ops(Format::kShflBw).conv(packed, shape, input);
+  const Matrix<float> ref =
+      Conv2dDense(input, packed.shflbw.ToDense(), shape);
   const double err = MaxAbsDiff(y, ref);
   std::printf("conv4.3x3: output %dx%d, max |sparse-dense ref| = %g\n",
               y.rows(), y.cols(), err);
   for (const GpuSpec& spec : AllGpus()) {
+    opts.arch = spec.arch;
     std::printf("%-6s conv speedup over cuDNN-dense: %5.2fx\n",
-                spec.name.c_str(), conv.SpeedupOverDense(spec));
+                spec.name.c_str(),
+                *ModeledLayerSeconds(layer, Format::kDense, opts) /
+                    *ModeledLayerSeconds(layer, Format::kShflBw, opts));
   }
 
-  // Whole-network sweep (performance model, batch 32 as in Fig. 6).
+  // Whole-network sweep (performance model, batch 32 as in Fig. 6): a
+  // plan that pins every layer to Shfl-BW.
   std::printf("\nResNet50 conv stack, Shfl-BW V=32:\n%-10s", "sparsity");
   for (const GpuSpec& spec : AllGpus()) {
     std::printf(" %9s", spec.name.c_str());
   }
   std::printf("\n");
+  PlannerOptions pinned;
+  pinned.force_format = Format::kShflBw;
+  pinned.v = 32;
   for (double sparsity : {0.50, 0.75, 0.85, 0.95}) {
     std::printf("%8.0f%% ", sparsity * 100);
+    pinned.density = 1.0 - sparsity;
     for (const GpuSpec& spec : AllGpus()) {
-      const auto r = EvaluateModel(runtime::ModelDesc::ResNet50(),
-                                   runtime::Format::kShflBw, 1.0 - sparsity,
-                                   32, spec.arch);
-      std::printf(" %8.2fx", r->speedup);
+      pinned.arch = spec.arch;
+      const ExecutionPlan plan = PlanModel(ModelDesc::ResNet50(), pinned);
+      std::printf(" %8.2fx",
+                  plan.ModeledDenseSeconds() / plan.ModeledTotalSeconds());
     }
     std::printf("\n");
   }

@@ -12,6 +12,8 @@
 //     this control — a retained-importance floor searched over
 //     per-layer densities instead of an all-or-nothing blocklist —
 //     see examples/quality_planning.cpp.)
+//
+// Exits 1 if a steady-state run packs a weight.
 #include <cstdio>
 
 #include "runtime/engine.h"
@@ -109,6 +111,11 @@ int main() {
   for (const LayerRunRecord& r : steady.layers) {
     std::printf("  %-16s %-8s %10.3f %10.2f\n", r.name.c_str(),
                 FormatName(r.format).c_str(), r.seconds * 1e3, r.Gflops());
+  }
+  if (steady.packs_performed != 0) {
+    std::printf("FAIL: the steady-state run packed %zu weights\n",
+                steady.packs_performed);
+    return 1;
   }
   return 0;
 }

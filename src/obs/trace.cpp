@@ -70,31 +70,51 @@ void TraceEvent::SetLabel2(const std::string& s) {
 }
 
 TraceRecorder::TraceRecorder(std::size_t capacity)
-    : slots_(capacity > 0 ? capacity : 1), start_seconds_(NowSeconds()) {}
+    : capacity_(capacity > 0 ? capacity : 1), start_seconds_(NowSeconds()) {}
+
+TraceRecorder::~TraceRecorder() {
+  delete[] slots_.load(std::memory_order_relaxed);
+}
+
+void TraceRecorder::SetEnabled(bool on) {
+  if (on && slots_.load(std::memory_order_acquire) == nullptr) {
+    // Racing first enables each build a ring; one publishes it (release
+    // pairs with the acquire loads of Record, size and Snapshot).
+    Slot* ring = new Slot[capacity_];
+    Slot* expected = nullptr;
+    if (!slots_.compare_exchange_strong(expected, ring,
+                                        std::memory_order_acq_rel)) {
+      delete[] ring;
+    }
+  }
+  enabled_.store(on, std::memory_order_relaxed);
+}
 
 std::size_t TraceRecorder::size() const {
+  const Slot* const slots = slots_.load(std::memory_order_acquire);
+  if (slots == nullptr) return 0;
   const std::uint64_t claimed = next_.load(std::memory_order_relaxed);
   std::size_t n = 0;
-  const std::size_t upto =
-      std::min<std::uint64_t>(claimed, slots_.size());
+  const std::size_t upto = std::min<std::uint64_t>(claimed, capacity_);
   for (std::size_t i = 0; i < upto; ++i) {
-    if (slots_[i].ready.load(std::memory_order_acquire)) ++n;
+    if (slots[i].ready.load(std::memory_order_acquire)) ++n;
   }
   return n;
 }
 
 std::vector<TraceEvent> TraceRecorder::Snapshot() const {
   std::vector<TraceEvent> events;
+  const Slot* const slots = slots_.load(std::memory_order_acquire);
+  if (slots == nullptr) return events;
   const std::uint64_t claimed = next_.load(std::memory_order_relaxed);
-  const std::size_t upto =
-      std::min<std::uint64_t>(claimed, slots_.size());
+  const std::size_t upto = std::min<std::uint64_t>(claimed, capacity_);
   events.reserve(upto);
   for (std::size_t i = 0; i < upto; ++i) {
     // Acquire pairs with Record's release publish: a ready slot's
     // payload is fully written. A claimed-but-unpublished slot (writer
     // mid-copy) is simply skipped.
-    if (slots_[i].ready.load(std::memory_order_acquire)) {
-      events.push_back(slots_[i].ev);
+    if (slots[i].ready.load(std::memory_order_acquire)) {
+      events.push_back(slots[i].ev);
     }
   }
   std::sort(events.begin(), events.end(),
@@ -105,9 +125,10 @@ std::vector<TraceEvent> TraceRecorder::Snapshot() const {
 }
 
 void TraceRecorder::Clear() {
-  for (Slot& s : slots_) {
-    s.ready.store(false, std::memory_order_relaxed);
-    s.ev = TraceEvent{};
+  Slot* const slots = slots_.load(std::memory_order_acquire);
+  for (std::size_t i = 0; slots != nullptr && i < capacity_; ++i) {
+    slots[i].ready.store(false, std::memory_order_relaxed);
+    slots[i].ev = TraceEvent{};
   }
   dropped_.store(0, std::memory_order_relaxed);
   next_.store(0, std::memory_order_release);

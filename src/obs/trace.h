@@ -9,6 +9,10 @@
 //   - Record() is wait-free on the hot path: one relaxed fetch_add to
 //     claim a slot, a POD copy, one release store to publish. No
 //     allocation, no lock, no string formatting.
+//   - The slots are allocated on the first SetEnabled(true), not at
+//     construction: a server that never traces never pays for the
+//     ring. The allocation is published with release/acquire, so
+//     Record(), size() and Snapshot() see no ring or a whole one.
 //   - The buffer is fixed capacity and DROPS NEWEST once full (the
 //     `dropped` counter says how many): overwriting oldest would need
 //     writer-writer synchronization on wrapped slots, and a bounded
@@ -85,10 +89,14 @@ struct TraceEvent {
 class TraceRecorder {
  public:
   explicit TraceRecorder(std::size_t capacity = 1 << 16);
+  ~TraceRecorder();
+  TraceRecorder(const TraceRecorder&) = delete;
+  TraceRecorder& operator=(const TraceRecorder&) = delete;
 
   /// Runtime switch; Record() is a no-op while disabled. Off by
-  /// default — tracing is opt-in per server/engine.
-  void SetEnabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
+  /// default — tracing is opt-in per server/engine. The first enable
+  /// allocates the ring.
+  void SetEnabled(bool on);
   bool enabled() const {
     if constexpr (!kCompiledIn) return false;
     return enabled_.load(std::memory_order_relaxed);
@@ -100,17 +108,20 @@ class TraceRecorder {
       return;
     }
     if (!enabled()) return;
+    Slot* const slots = slots_.load(std::memory_order_acquire);
+    if (slots == nullptr) return;  // enable still publishing the ring
     const std::uint64_t idx = next_.fetch_add(1, std::memory_order_relaxed);
-    if (idx >= slots_.size()) {
+    if (idx >= capacity_) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    Slot& s = slots_[idx];
+    Slot& s = slots[idx];
     s.ev = ev;
     s.ready.store(true, std::memory_order_release);
   }
 
-  std::size_t capacity() const { return slots_.size(); }
+  /// The configured capacity, whether or not the ring is allocated yet.
+  std::size_t capacity() const { return capacity_; }
   /// Events published so far (<= capacity).
   std::size_t size() const;
   std::uint64_t dropped() const {
@@ -139,7 +150,9 @@ class TraceRecorder {
     std::atomic<bool> ready{false};
   };
 
-  std::vector<Slot> slots_;
+  const std::size_t capacity_;
+  /// Owned array of capacity_ slots; null until the first enable.
+  std::atomic<Slot*> slots_{nullptr};
   std::atomic<std::uint64_t> next_{0};
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<bool> enabled_{false};

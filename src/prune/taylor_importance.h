@@ -3,9 +3,10 @@
 // scores of all weights, our algorithm decides which weights to keep").
 // The paper uses |w| (magnitude); first-order scores |w * dL/dw| rank
 // weights by the loss change their removal causes to first order, and
-// plug into the same ShflBwSearch / PatternMask machinery. (With the nn
-// substrate, pass layer.weights() and layer.grad_weights() after a
-// backward pass over a scoring batch.)
+// plug into the same ShflBwSearch and format masks (runtime::Ops(f).mask
+// takes any score matrix). (With the nn substrate, pass
+// layer.weights() and layer.grad_weights() after a backward pass over
+// a scoring batch.)
 #pragma once
 
 #include "common/matrix.h"

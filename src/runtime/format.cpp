@@ -173,6 +173,9 @@ constexpr FormatOps kOps[] = {
         // shuffle (the unfold is shared with Conv2dDense).
         .conv = [](const PackedWeight& w, const ConvShape& shape,
                    const Tensor4& input) {
+          SHFLBW_CHECK_MSG(
+              w.vw.rows == shape.out_c && w.vw.cols == shape.GemmK(),
+              "sparse weights do not match conv shape");
           return SpmmVectorWise(w.vw, Im2Col(input, shape));
         },
         .conv_model = [](const ConvShape& shape, double density, int v,

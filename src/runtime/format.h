@@ -5,9 +5,9 @@
 // that executes it (src/kernels/) and that kernel's model on a layer
 // shape. The planner and the Fig. 2/6 figures time formats through the
 // entry's model, the weight cache packs the winner once, the engine
-// executes it, the quality evaluator scores its mask and the
-// SparseLinear / SparseConv2d API runs it — all through Ops(format), so
-// the mask a plan scores is by construction the mask the engine packs.
+// executes it and the quality evaluator scores its mask — all through
+// Ops(format), so the mask a plan scores is by construction the mask
+// the engine packs.
 #pragma once
 
 #include <optional>

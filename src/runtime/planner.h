@@ -1,9 +1,9 @@
 // The planning phase of the runtime: times every (format, density, V)
 // candidate of every layer with ModeledLayerSeconds, the same model the
-// Fig. 2/6 figures add up (core/evaluator.h), and selects the fastest,
-// producing an ExecutionPlan the engine packs and executes. One search
-// serves both kinds of plan: a speed-only plan searches the single
-// point (density, v) of PlannerOptions; with quality options enabled
+// Fig. 2/6 figures add up (bench/bench_paper.cpp), and selects the
+// fastest, producing an ExecutionPlan the engine packs and executes.
+// One search serves both kinds of plan: a speed-only plan searches the
+// single point (density, v) of PlannerOptions; with quality options enabled
 // it searches the ladders, scores each candidate's mask, and selects
 // under a retained-importance floor (src/quality/). Either way planning
 // is pure and deterministic — the same model + planner options always

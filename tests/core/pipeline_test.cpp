@@ -1,62 +1,71 @@
-#include "core/pipeline.h"
+// The prune-then-pack pipeline on the runtime surface: each format's
+// Ops(f).mask chooses what to keep of a weight's magnitude scores, and
+// runtime::PackWeight stores exactly the weight under that mask — with
+// the Shfl-BW row permutation the mask search found, and 2:4's
+// two-of-four constraint met.
+#include <algorithm>
+#include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "format/balanced24.h"
+#include "format/convert.h"
 #include "prune/importance.h"
+#include "runtime/weight_cache.h"
 
 namespace shflbw {
+namespace runtime {
 namespace {
 
-using runtime::Format;
-
-TEST(Pipeline, DensePatternIsAllOnes) {
+TEST(Pipeline, DenseMaskKeepsEverythingUnpermuted) {
   Rng rng(373);
   const Matrix<float> w = rng.NormalMatrix(8, 8);
-  const PruneResult r = PruneWithPattern(w, Format::kDense, 1.0, 32);
-  EXPECT_EQ(CountNonZeros(r.mask), 64u);
-  EXPECT_EQ(r.pruned_weights, w);
-  EXPECT_TRUE(r.storage_to_original.empty());
+  const FormatMask m = Ops(Format::kDense).mask(MagnitudeScores(w), 1.0, 32);
+  EXPECT_EQ(CountNonZeros(m.mask), 64u);
+  EXPECT_TRUE(m.storage_to_original.empty());
 }
 
-TEST(Pipeline, ShflBwCarriesPermutation) {
+TEST(Pipeline, ShflBwPacksTheMaskSearchPermutation) {
   Rng rng(379);
   const Matrix<float> w = rng.NormalMatrix(32, 32);
-  const PruneResult r = PruneWithPattern(w, Format::kShflBw, 0.25, 8);
-  EXPECT_EQ(r.storage_to_original.size(), 32u);
+  const FormatMask m =
+      Ops(Format::kShflBw).mask(MagnitudeScores(w), 0.25, 8);
+  std::vector<int> rows = m.storage_to_original;
+  std::sort(rows.begin(), rows.end());
+  std::vector<int> identity(32);
+  std::iota(identity.begin(), identity.end(), 0);
+  EXPECT_EQ(rows, identity);
+  EXPECT_EQ(PackWeight(Format::kShflBw, w, 0.25, 8).shflbw.storage_to_original,
+            m.storage_to_original);
 }
 
-TEST(Pipeline, PrunedWeightsEqualMaskTimesWeights) {
+TEST(Pipeline, PackedWeightIsTheWeightUnderItsFormatMask) {
   Rng rng(383);
   const Matrix<float> w = rng.NormalMatrix(32, 32);
-  for (Format f : {Format::kCsr, Format::kBsr, Format::kVectorWise,
-                   Format::kShflBw}) {
-    const PruneResult r = PruneWithPattern(w, f, 0.25, 8);
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      EXPECT_EQ(r.pruned_weights.storage()[i],
-                w.storage()[i] * r.mask.storage()[i]);
-    }
-  }
+  const Matrix<float> scores = MagnitudeScores(w);
+  const auto masked = [&](Format f) {
+    return ApplyMask(w, Ops(f).mask(scores, 0.25, 8).mask);
+  };
+  EXPECT_EQ(PackWeight(Format::kCsr, w, 0.25, 8).csr.ToDense(),
+            masked(Format::kCsr));
+  EXPECT_EQ(PackWeight(Format::kBsr, w, 0.25, 8).bsr.ToDense(),
+            masked(Format::kBsr));
+  EXPECT_EQ(PackWeight(Format::kVectorWise, w, 0.25, 8).vw.ToDense(),
+            masked(Format::kVectorWise));
+  EXPECT_EQ(PackWeight(Format::kShflBw, w, 0.25, 8).shflbw.ToDense(),
+            masked(Format::kShflBw));
 }
 
-TEST(Pipeline, Balanced24MaskSatisfiesConstraint) {
+TEST(Pipeline, Balanced24PackSatisfiesTheConstraint) {
   Rng rng(389);
   const Matrix<float> w = rng.NormalMatrix(16, 32);
-  const PruneResult r = PruneWithPattern(w, Format::kBalanced24, 0.5, 32);
-  EXPECT_TRUE(Satisfies24(r.pruned_weights));
-  EXPECT_THROW(PruneWithPattern(w, Format::kBalanced24, 0.3, 32), Error);
-}
-
-TEST(Pipeline, PatternMaskMatchesPruneWithPattern) {
-  Rng rng(397);
-  const Matrix<float> w = rng.NormalMatrix(32, 32);
-  const Matrix<float> scores = MagnitudeScores(w);
-  const Matrix<float> mask =
-      PatternMask(scores, Format::kVectorWise, 0.25, 8);
-  const PruneResult r = PruneWithPattern(w, Format::kVectorWise, 0.25, 8);
-  EXPECT_EQ(mask, r.mask);
+  EXPECT_TRUE(Satisfies24(
+      PackWeight(Format::kBalanced24, w, 0.5, 32).balanced24.ToDense()));
+  EXPECT_THROW(
+      (void)Ops(Format::kBalanced24).mask(MagnitudeScores(w), 0.3, 32), Error);
 }
 
 }  // namespace
+}  // namespace runtime
 }  // namespace shflbw

@@ -1,107 +1,80 @@
-#include "core/sparse_linear.h"
-
+// A pruned linear layer on the runtime surface: the weight
+// runtime::PackWeight packs keeps only the master's own entries at the
+// target density, the kernel the engine runs on it is the kernel the
+// planner modelled, and ModeledLayerSeconds puts Shfl-BW above and
+// unstructured sparsity below the tensor-core dense baseline at 75%
+// sparsity (Fig. 1 region C, §6.2).
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "kernels/gemm_dense.h"
+#include "runtime/planner.h"
+#include "runtime/weight_cache.h"
 
 namespace shflbw {
+namespace runtime {
 namespace {
 
-using runtime::Format;
-
-const GpuSpec& V100() { return GetGpuSpec(GpuArch::kV100); }
-
-SparseLinear::Options Opt(Format f, double density, int v) {
-  SparseLinear::Options o;
-  o.format = f;
-  o.density = density;
-  o.v = v;
-  return o;
+/// Modelled speedup over dense of an m x k weight kept at 25% density
+/// in `f` (V=64) on n activation columns, on V100.
+double SpeedupAt75PercentSparsity(Format f, int m, int n, int k) {
+  LayerDesc l;
+  l.gemm = {"fc", m, n, k};
+  PlannerOptions opts;
+  opts.density = 0.25;
+  opts.v = 64;
+  const auto dense_s = ModeledLayerSeconds(l, Format::kDense, opts);
+  const auto sparse_s = ModeledLayerSeconds(l, f, opts);
+  EXPECT_TRUE(dense_s && sparse_s) << FormatName(f);
+  return dense_s && sparse_s ? *dense_s / *sparse_s : 0.0;
 }
 
-class AllPatterns : public ::testing::TestWithParam<Format> {};
-
-TEST_P(AllPatterns, ForwardMatchesReferenceOnPrunedWeights) {
-  Rng rng(283);
-  const Matrix<float> w = rng.NormalMatrix(32, 32);
-  const Matrix<float> x = rng.NormalMatrix(32, 12);
-  const double density =
-      GetParam() == Format::kBalanced24 ? 0.5 : 0.25;
-  const SparseLinear layer(w, Opt(GetParam(), density, 8));
-  EXPECT_EQ(layer.Forward(x), GemmReference(layer.pruned_weights(), x));
-}
-
-TEST_P(AllPatterns, AchievedDensityNearTarget) {
-  Rng rng(293);
-  const Matrix<float> w = rng.NormalMatrix(64, 64);
-  const double density =
-      GetParam() == Format::kBalanced24 ? 0.5 : 0.25;
-  const SparseLinear layer(w, Opt(GetParam(), density, 16));
-  if (GetParam() == Format::kDense) {
-    EXPECT_DOUBLE_EQ(layer.AchievedDensity(), 1.0);
-  } else {
-    EXPECT_NEAR(layer.AchievedDensity(), density, 0.02);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Patterns, AllPatterns,
-    ::testing::ValuesIn(runtime::AllFormats()));
-
-TEST(SparseLinear, MaskedWeightsAreSubsetOfOriginal) {
+TEST(SparseLinear, ShflBwKeepsMasterEntriesAtTheTargetDensity) {
   Rng rng(307);
-  const Matrix<float> w = rng.NormalMatrix(32, 32);
-  const SparseLinear layer(w, Opt(Format::kShflBw, 0.25, 8));
-  for (int r = 0; r < 32; ++r) {
-    for (int c = 0; c < 32; ++c) {
-      const float pv = layer.pruned_weights()(r, c);
-      EXPECT_TRUE(pv == 0.0f || pv == w(r, c));
+  const Matrix<float> w = rng.NormalMatrix(64, 64);
+  const Matrix<float> kept =
+      PackWeight(Format::kShflBw, w, 0.25, 16).shflbw.ToDense();
+  for (int r = 0; r < w.rows(); ++r) {
+    for (int c = 0; c < w.cols(); ++c) {
+      EXPECT_TRUE(kept(r, c) == 0.0f || kept(r, c) == w(r, c))
+          << r << "," << c;
     }
   }
+  EXPECT_NEAR(1.0 - Sparsity(kept), 0.25, 0.02);
 }
 
 TEST(SparseLinear, ShflBwSpeedupOverDenseAt75PercentSparsity) {
-  Rng rng(311);
-  const Matrix<float> w = rng.NormalMatrix(2048, 2048);
-  const SparseLinear layer(w, Opt(Format::kShflBw, 0.25, 64));
-  // Fig. 1 region C: tensor-core sparse beats tensor-core dense at
-  // 75% sparsity.
-  EXPECT_GT(layer.SpeedupOverDense(128, V100()), 1.0);
+  // Fig. 1 region C: tensor-core sparse beats tensor-core dense.
+  EXPECT_GT(SpeedupAt75PercentSparsity(Format::kShflBw, 2048, 128, 2048), 1.0);
 }
 
 TEST(SparseLinear, UnstructuredSlowerThanDenseOnTensorCoreBaseline) {
-  Rng rng(313);
-  const Matrix<float> w = rng.NormalMatrix(2048, 2048);
-  const SparseLinear layer(w, Opt(Format::kCsr, 0.25, 64));
-  // §6.2: unstructured cannot exceed the TC dense baseline even at
-  // high sparsity (here 75%).
-  EXPECT_LT(layer.SpeedupOverDense(128, V100()), 1.0);
+  // §6.2: unstructured cannot exceed the tensor-core dense baseline even
+  // at high sparsity.
+  EXPECT_LT(SpeedupAt75PercentSparsity(Format::kCsr, 2048, 128, 2048), 1.0);
 }
 
-TEST(SparseLinear, StatsConsistentWithModelTime) {
+// The stats of the kernel that runs on a packed weight model the same
+// kernel the planner timed before anything was packed.
+TEST(SparseLinear, PackedKernelIsTheModelledKernel) {
   Rng rng(317);
   const Matrix<float> w = rng.NormalMatrix(256, 256);
-  const SparseLinear layer(w, Opt(Format::kShflBw, 0.25, 32));
-  const KernelStats s = layer.Stats(64, V100());
-  const TimeBreakdown t = layer.ModelTime(64, V100());
-  EXPECT_DOUBLE_EQ(CostModel(V100()).Estimate(s).total_s, t.total_s);
-  EXPECT_EQ(s.kernel_class, KernelClass::kShflBwTensorCore);
-}
-
-TEST(SparseLinear, Balanced24RequiresHalfDensity) {
-  Rng rng(331);
-  const Matrix<float> w = rng.NormalMatrix(16, 16);
-  EXPECT_THROW(SparseLinear(w, Opt(Format::kBalanced24, 0.25, 8)),
-               Error);
-}
-
-TEST(SparseLinear, DensePatternKeepsAllWeights) {
-  Rng rng(337);
-  const Matrix<float> w = rng.NormalMatrix(16, 16);
-  const SparseLinear layer(w, Opt(Format::kDense, 1.0, 8));
-  EXPECT_EQ(layer.pruned_weights(), w);
+  const GpuSpec& spec = GetGpuSpec(GpuArch::kA100);  // 2:4 is A100-only
+  for (Format f : AllFormats()) {
+    const double density =
+        Ops(f).fixed_density > 0 ? Ops(f).fixed_density : 0.25;
+    const LayerModel model = Ops(f).gemm_model(256, 64, 256, density, 32, spec);
+    ASSERT_TRUE(model.stats) << FormatName(f) << ": " << model.why;
+    const KernelStats packed =
+        Ops(f).gemm_stats(PackWeight(f, w, density, 32), 64, spec);
+    EXPECT_EQ(packed.kernel_class, model.stats->kernel_class)
+        << FormatName(f);
+  }
+  EXPECT_EQ(Ops(Format::kShflBw)
+                .gemm_model(256, 64, 256, 0.25, 32, spec)
+                .stats->kernel_class,
+            KernelClass::kShflBwTensorCore);
 }
 
 }  // namespace
+}  // namespace runtime
 }  // namespace shflbw

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "core/pipeline.h"
 #include "kernels/conv2d.h"
 #include "kernels/gemm_dense.h"
 #include "kernels/spmm_balanced24.h"

@@ -1,4 +1,5 @@
-// Tracing contract: the span ring records whole POD events and drops
+// Tracing contract: the span ring is built on the first enable (also
+// while other threads record), records whole POD events and drops
 // newest when full, every span a serving run records is well-formed
 // (begin <= end, request-scoped spans carry a real request id), the
 // Chrome trace-event dump is syntactically valid JSON with the
@@ -6,6 +7,7 @@
 // request fates — shed, retried, degraded — each leave their expected
 // span sequence, with fused batches sharing one set of kernel spans.
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cstdint>
@@ -31,6 +33,21 @@ TEST(TraceRecorder, DisabledRecordsNothing) {
   TraceEvent ev;
   rec.Record(ev);
   EXPECT_EQ(rec.size(), 0u);
+}
+
+// The ring is allocated on the first enable: a recorder that was never
+// enabled has none, yet reports its configured capacity and reads,
+// clears and dumps as empty.
+TEST(TraceRecorder, NeverEnabledIsEmptyAtItsCapacity) {
+  TraceRecorder rec(8);
+  rec.Record(TraceEvent{});
+  EXPECT_EQ(rec.capacity(), 8u);
+  EXPECT_TRUE(rec.Snapshot().empty());
+  rec.Clear();
+  EXPECT_EQ(rec.size(), 0u);
+  std::ostringstream os;
+  rec.WriteChromeTrace(os);
+  EXPECT_EQ(os.str().find("\"ph\":\"X\""), std::string::npos);
 }
 
 TEST(TraceRecorder, LabelsTruncateSafely) {
@@ -236,6 +253,53 @@ TEST(TraceRecorder, DropsNewestWhenFullAndCounts) {
   rec.Clear();
   EXPECT_EQ(rec.size(), 0u);
   EXPECT_EQ(rec.dropped(), 0u);
+}
+
+// The first enable publishes the ring while other threads record and
+// read: a record sees no ring (and records nothing) or the whole ring,
+// never a half-built one. CI runs this under TSan.
+TEST(TraceRecorder, EnablingWhileThreadsRecord) {
+  TraceRecorder rec(1 << 10);
+  constexpr int kRecorders = 4;
+  std::atomic<int> running{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> recorders;
+  for (int t = 0; t < kRecorders; ++t) {
+    recorders.emplace_back([&, t] {
+      running.fetch_add(1);
+      for (std::uint64_t i = 0; !stop.load(); ++i) {
+        TraceEvent ev;
+        ev.kind = SpanKind::kQueue;
+        ev.replica = t;
+        ev.request_id = i;
+        ev.begin_seconds = static_cast<double>(i);
+        ev.end_seconds = static_cast<double>(i) + 1;
+        rec.Record(ev);
+      }
+    });
+  }
+  while (running.load() < kRecorders) std::this_thread::yield();
+  // Two racing first enables: one ring is published, the other freed.
+  std::thread a([&] { rec.SetEnabled(true); });
+  std::thread b([&] { rec.SetEnabled(true); });
+  a.join();
+  b.join();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (rec.dropped() == 0 && std::chrono::steady_clock::now() < deadline) {
+    (void)rec.size();
+  }
+  stop.store(true);
+  for (std::thread& t : recorders) t.join();
+
+  EXPECT_EQ(rec.capacity(), 1u << 10);
+  EXPECT_EQ(rec.size(), rec.capacity());
+  EXPECT_GT(rec.dropped(), 0u);
+  for (const TraceEvent& ev : rec.Snapshot()) {
+    EXPECT_EQ(ev.begin_seconds, static_cast<double>(ev.request_id));
+    EXPECT_EQ(ev.end_seconds, ev.begin_seconds + 1);
+    EXPECT_TRUE(ev.replica >= 0 && ev.replica < kRecorders) << ev.replica;
+  }
 }
 
 // A fused batch leaves K run spans sharing ONE set of kernel spans:

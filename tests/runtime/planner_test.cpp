@@ -1,6 +1,8 @@
 // Planner contract tests: schedule determinism, feasibility
-// constraints, force_format pinning, and the cost-model preference for
-// sparse formats on the paper's sparse-friendly NLP shapes.
+// constraints, force_format pinning (which times each layer with
+// ModeledLayerSeconds and keeps Fig. 6's model shape), and the
+// cost-model preference for sparse formats on the paper's
+// sparse-friendly NLP shapes.
 #include <gtest/gtest.h>
 
 #include "common/check.h"
@@ -63,6 +65,86 @@ TEST(Planner, ForceFormatPinsEveryLayer) {
     EXPECT_EQ(l.format, Format::kDense);
     EXPECT_EQ(l.modeled_s, l.modeled_dense_s);
   }
+}
+
+/// Whole-model modelled speedup over dense of a plan that pins every
+/// layer of `model` to `f` at (density, v) on `arch`. Each layer's
+/// modelled seconds must be ModeledLayerSeconds to the bit: a plan and
+/// a paper figure time a layer with one function.
+double PinnedSpeedup(const ModelDesc& model, Format f, double density, int v,
+                     GpuArch arch) {
+  PlannerOptions opts;
+  opts.force_format = f;
+  opts.density = density;
+  opts.v = v;
+  opts.arch = arch;
+  const ExecutionPlan plan = PlanModel(model, opts);
+  PlannerOptions dense;
+  dense.arch = arch;
+  for (const LayerPlan& lp : plan.layers) {
+    const LayerDesc& l = model.layers[static_cast<std::size_t>(lp.layer)];
+    EXPECT_EQ(lp.modeled_s, ModeledLayerSeconds(l, f, opts)) << lp.name;
+    EXPECT_EQ(lp.modeled_dense_s, ModeledLayerSeconds(l, Format::kDense, dense))
+        << lp.name;
+  }
+  return plan.ModeledDenseSeconds() / plan.ModeledTotalSeconds();
+}
+
+// The shape of Fig. 6 as pinned plans model it.
+TEST(Planner, PinnedPlansKeepTheFig6ModelShape) {
+  const ModelDesc transformer = ModelDesc::Transformer();
+  // Headline: Shfl-BW V=64 at 75% sparsity accelerates Transformer
+  // ~1.81x (V100), ~4.18x (T4), ~1.90x (A100), with T4 the largest.
+  const double v100 =
+      PinnedSpeedup(transformer, Format::kShflBw, 0.25, 64, GpuArch::kV100);
+  const double t4 =
+      PinnedSpeedup(transformer, Format::kShflBw, 0.25, 64, GpuArch::kT4);
+  const double a100 =
+      PinnedSpeedup(transformer, Format::kShflBw, 0.25, 64, GpuArch::kA100);
+  EXPECT_GT(v100, 1.3);
+  EXPECT_LT(v100, 2.5);
+  EXPECT_GT(t4, 3.0);
+  EXPECT_LT(t4, 5.0);
+  EXPECT_GT(a100, 1.3);
+  EXPECT_LT(a100, 2.6);
+  EXPECT_GT(t4, v100);
+  EXPECT_GT(t4, a100);
+
+  // Speedup rises with sparsity.
+  double prev = 0.0;
+  for (double density : {0.5, 0.25, 0.15, 0.05}) {
+    const double speedup = PinnedSpeedup(transformer, Format::kShflBw,
+                                         density, 64, GpuArch::kV100);
+    EXPECT_GT(speedup, prev) << density;
+    prev = speedup;
+  }
+
+  // Unstructured (Sputnik) stays below the tensor-core dense baseline
+  // on GNMT through the accuracy-relevant range; at the 95% extreme a
+  // linear compute model concedes a modest win on large layers
+  // (docs/REPRODUCTION.md §5).
+  const ModelDesc gnmt = ModelDesc::Gnmt();
+  for (double density : {0.5, 0.25, 0.15}) {
+    EXPECT_LT(PinnedSpeedup(gnmt, Format::kCsr, density, 32, GpuArch::kV100),
+              1.05)
+        << density;
+  }
+  EXPECT_LT(PinnedSpeedup(gnmt, Format::kCsr, 0.05, 32, GpuArch::kV100), 1.8);
+
+  // §6.2: balanced 2:4 gives only 1.07x / 1.16x on A100 at 50%, and
+  // Shfl-BW V=64 beats it at the same sparsity.
+  const double balanced24 = PinnedSpeedup(transformer, Format::kBalanced24,
+                                          0.5, 32, GpuArch::kA100);
+  EXPECT_GT(balanced24, 0.95);
+  EXPECT_LT(balanced24, 1.4);
+  EXPECT_GT(
+      PinnedSpeedup(transformer, Format::kShflBw, 0.5, 64, GpuArch::kA100),
+      balanced24);
+
+  // Our conv kernel speeds up ResNet50.
+  EXPECT_GT(PinnedSpeedup(ModelDesc::ResNet50(), Format::kShflBw, 0.25, 32,
+                          GpuArch::kV100),
+            1.0);
 }
 
 TEST(Planner, SparseWinsOnNlpShapesAtQuarterDensity) {

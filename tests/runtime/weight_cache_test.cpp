@@ -1,6 +1,7 @@
 // PackedWeightCache contract: pack exactly once per (layer, format,
 // density, v), every packed representation expands back to the pruned
-// weight it stores — whose mask is the one the quality planner scored —
+// weight it stores — whose mask is the one the quality planner scored
+// and on which the format's kernels equal the dense reference —
 // and the cache survives concurrent GetOrPack from many threads (the
 // BatchServer shares one cache across replicas).
 #include <functional>
@@ -12,6 +13,7 @@
 
 #include "common/rng.h"
 #include "format/convert.h"
+#include "kernels/gemm_dense.h"
 #include "model/weight_synth.h"
 #include "prune/balanced24_prune.h"
 #include "prune/block_wise.h"
@@ -178,17 +180,55 @@ TEST(PackedWeightCache, ConcurrentGetOrPackPacksOncePerKey) {
 }
 
 // Each format's packed representation expands back to exactly what
-// that format's pruner in src/prune/ keeps of the master.
+// that format's pruner in src/prune/ keeps of the master, at the
+// target density.
 TEST(PackWeight, RepresentationsMatchTheirPrunes) {
   Rng rng(11);
   const Matrix<float> master = rng.NormalMatrix(32, 32);
   const int v = 8;
   for (Format f : AllFormats()) {
     const double density = TestDensity(f);
-    EXPECT_EQ(Unpack(PackWeight(f, master, density, v)),
-              ReferencePrune(f, master, density, v))
+    const Matrix<float> unpacked = Unpack(PackWeight(f, master, density, v));
+    EXPECT_EQ(unpacked, ReferencePrune(f, master, density, v))
+        << FormatName(f);
+    EXPECT_NEAR(1.0 - Sparsity(unpacked),
+                f == Format::kDense ? 1.0 : density, 0.02)
         << FormatName(f);
   }
+}
+
+// Each format's kernel on its packed weight computes exactly the dense
+// reference on the weight it stores: GEMM for every format, implicit-
+// GEMM convolution for every format with a conv kernel.
+TEST(PackWeight, KernelsMatchTheDenseReferenceOnTheUnpackedWeight) {
+  Rng rng(283);
+  const Matrix<float> master = rng.NormalMatrix(32, 32);
+  const Matrix<float> x = rng.NormalMatrix(32, 12);
+  for (Format f : AllFormats()) {
+    const PackedWeight packed = PackWeight(f, master, TestDensity(f), 8);
+    EXPECT_EQ(Ops(f).gemm(packed, x), GemmReference(Unpack(packed), x))
+        << FormatName(f);
+  }
+
+  ConvShape shape;
+  shape.in_c = 4;
+  shape.in_h = shape.in_w = 5;
+  shape.out_c = 8;
+  shape.kh = shape.kw = 3;
+  shape.pad = 1;
+  const Matrix<float> filters = rng.NormalMatrix(shape.out_c, shape.GemmK());
+  Tensor4 input(shape.batch, shape.in_c, shape.in_h, shape.in_w);
+  for (float& v : input.data) v = static_cast<float>(rng.Normal());
+  int conv_formats = 0;
+  for (Format f : AllFormats()) {
+    if (Ops(f).conv == nullptr) continue;
+    const PackedWeight packed = PackWeight(f, filters, TestDensity(f), 4);
+    EXPECT_EQ(Ops(f).conv(packed, shape, input),
+              Conv2dDense(input, Unpack(packed), shape))
+        << FormatName(f);
+    ++conv_formats;
+  }
+  EXPECT_EQ(conv_formats, 3);  // dense, vector-wise and Shfl-BW (§6.2)
 }
 
 // The mask the planner scores is the mask the engine packs: for every

@@ -1,11 +1,13 @@
 // benchdiff unit contract: the strict JSON parser accepts exactly what
 // bench/ emits and rejects garbage with a located error, flattening
 // produces stable identity-keyed paths (so reordered result arrays
-// still line up), glob matching and first-match-wins rule resolution
-// behave, a self-diff is always clean, and an injected
-// beyond-threshold throughput drop is flagged as a regression while
-// equal-sized noise on an un-gated metric is not, and runs at different
-// thread counts or build types are refused by name.
+// still line up and rows that differ only in alpha stay apart) and
+// refuses two rows with one identity, glob matching and
+// first-match-wins rule resolution behave, a self-diff is always
+// clean, and an injected beyond-threshold throughput drop is flagged as
+// a regression while equal-sized noise on an un-gated metric is not,
+// and runs at different thread counts or build types are refused by
+// name.
 #include <map>
 #include <string>
 #include <vector>
@@ -23,6 +25,13 @@ JsonValue MustParse(const std::string& text) {
   std::string err;
   EXPECT_TRUE(ParseJson(text, &v, &err)) << err;
   return v;
+}
+
+std::map<std::string, double> MustFlatten(const JsonValue& v) {
+  std::map<std::string, double> flat;
+  std::string err;
+  EXPECT_TRUE(FlattenNumeric(v, &flat, &err)) << err;
+  return flat;
 }
 
 TEST(ParseJson, RoundTripsTheBenchSubset) {
@@ -75,7 +84,7 @@ TEST(FlattenNumeric, JoinsObjectsAndKeysArraysByIdentity) {
       "   {\"name\": \"dec0\", \"gflops\": 7.0}],\n"
       " \"curve\": [1, 2, 3],\n"
       " \"ok\": true, \"note\": \"skipped\"}");
-  const std::map<std::string, double> flat = FlattenNumeric(v);
+  const std::map<std::string, double> flat = MustFlatten(v);
   EXPECT_DOUBLE_EQ(flat.at("throughput_rps"), 100);
   EXPECT_DOUBLE_EQ(flat.at("provenance.threads"), 8);
   EXPECT_DOUBLE_EQ(flat.at("results[enc0].gflops"), 5.0);
@@ -92,7 +101,30 @@ TEST(FlattenNumeric, IdentityKeysSurviveReordering) {
       "{\"r\": [{\"name\": \"x\", \"v\": 1}, {\"name\": \"y\", \"v\": 2}]}");
   const JsonValue b = MustParse(
       "{\"r\": [{\"name\": \"y\", \"v\": 2}, {\"name\": \"x\", \"v\": 1}]}");
-  EXPECT_EQ(FlattenNumeric(a), FlattenNumeric(b));
+  EXPECT_EQ(MustFlatten(a), MustFlatten(b));
+}
+
+// BENCH_hotpath.json has two rows per shape, one per alpha: keyed by
+// shape alone, the second overwrote the first.
+TEST(FlattenNumeric, KeysRowsByEveryIdentityMember) {
+  const JsonValue v = MustParse(
+      "{\"results\": [\n"
+      "   {\"shape\": \"gnmt\", \"alpha\": 0.1, \"serial_ms\": 3.2},\n"
+      "   {\"shape\": \"gnmt\", \"alpha\": 0.3, \"serial_ms\": 5.1}]}");
+  const std::map<std::string, double> flat = MustFlatten(v);
+  EXPECT_DOUBLE_EQ(flat.at("results[gnmt,alpha=0.1].serial_ms"), 3.2);
+  EXPECT_DOUBLE_EQ(flat.at("results[gnmt,alpha=0.3].serial_ms"), 5.1);
+  EXPECT_EQ(flat.size(), 4u);  // alpha and serial_ms of each row
+}
+
+TEST(FlattenNumeric, TwoRowsWithOneIdentityAreANamedError) {
+  const JsonValue v = MustParse(
+      "{\"results\": [{\"shape\": \"gnmt\", \"serial_ms\": 3.2},\n"
+      "             {\"shape\": \"gnmt\", \"serial_ms\": 5.1}]}");
+  std::map<std::string, double> flat;
+  std::string err;
+  EXPECT_FALSE(FlattenNumeric(v, &flat, &err));
+  EXPECT_NE(err.find("results[gnmt]"), std::string::npos) << err;
 }
 
 TEST(GlobMatch, StarAndQuestionSemantics) {

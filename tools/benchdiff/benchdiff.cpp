@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <iomanip>
+#include <set>
 #include <sstream>
 
 namespace shflbw {
@@ -264,14 +265,15 @@ namespace {
 
 /// Identity of an array element: bench result rows carry some of these
 /// string members; their joined values make a path segment that is
-/// stable under reordering. Checked in this order.
+/// stable under reordering. Joined in this order.
 constexpr const char* kIdentityKeys[] = {"name",  "label",    "shape",
                                          "model", "scenario", "format",
                                          "kind"};
-/// Fallback numeric identity (serving sweeps are keyed by
-/// configuration, not name).
+/// Numeric identity members, appended as key=value (serving sweeps are
+/// keyed by configuration, hotpath rows by shape and alpha).
 constexpr const char* kNumericIdentityKeys[] = {"replicas", "max_batch",
-                                                "batch", "qps", "level"};
+                                                "batch",    "qps",
+                                                "level",    "alpha"};
 
 std::string ElementIdentity(const JsonValue& element, std::size_t index) {
   if (element.type == JsonValue::Type::kObject) {
@@ -284,7 +286,6 @@ std::string ElementIdentity(const JsonValue& element, std::size_t index) {
         id += v->str;
       }
     }
-    if (!id.empty()) return id;
     for (const char* key : kNumericIdentityKeys) {
       const JsonValue* v = element.Find(key);
       if (v != nullptr && v->type == JsonValue::Type::kNumber) {
@@ -299,8 +300,8 @@ std::string ElementIdentity(const JsonValue& element, std::size_t index) {
   return std::to_string(index);
 }
 
-void FlattenInto(const JsonValue& v, const std::string& path,
-                 std::map<std::string, double>* out) {
+bool FlattenInto(const JsonValue& v, const std::string& path,
+                 std::map<std::string, double>* out, std::string* error) {
   switch (v.type) {
     case JsonValue::Type::kNumber:
       (*out)[path] = v.number;
@@ -310,27 +311,38 @@ void FlattenInto(const JsonValue& v, const std::string& path,
       break;
     case JsonValue::Type::kObject:
       for (const auto& [key, member] : v.object) {
-        FlattenInto(member, path.empty() ? key : path + '.' + key, out);
+        if (!FlattenInto(member, path.empty() ? key : path + '.' + key, out,
+                         error)) {
+          return false;
+        }
       }
       break;
-    case JsonValue::Type::kArray:
+    case JsonValue::Type::kArray: {
+      std::set<std::string> seen;
       for (std::size_t i = 0; i < v.array.size(); ++i) {
-        FlattenInto(v.array[i],
-                    path + '[' + ElementIdentity(v.array[i], i) + ']', out);
+        const std::string element =
+            path + '[' + ElementIdentity(v.array[i], i) + ']';
+        if (!seen.insert(element).second) {
+          *error = "two elements of one array are both " + element;
+          return false;
+        }
+        if (!FlattenInto(v.array[i], element, out, error)) return false;
       }
       break;
+    }
     case JsonValue::Type::kString:
     case JsonValue::Type::kNull:
       break;  // non-numeric leaves never gate
   }
+  return true;
 }
 
 }  // namespace
 
-std::map<std::string, double> FlattenNumeric(const JsonValue& root) {
-  std::map<std::string, double> out;
-  FlattenInto(root, "", &out);
-  return out;
+bool FlattenNumeric(const JsonValue& root, std::map<std::string, double>* out,
+                    std::string* error) {
+  out->clear();
+  return FlattenInto(root, "", out, error);
 }
 
 // ---- Comparability ------------------------------------------------------

@@ -52,16 +52,20 @@ struct JsonValue {
 
 // ---- Flattening ---------------------------------------------------------
 
-/// Every numeric leaf of `root` as path -> value (bools count as 0/1;
-/// strings and nulls are skipped). Object members join with '.';
-/// an array element's path segment is "[<identity>]" where identity is
-/// the element's human-stable label when one can be derived (the
-/// joined values of its name/label/shape/model/... string members, or
-/// its replicas/batch numeric combo), falling back to the element
-/// index — so reordering results between runs doesn't misalign the
-/// diff, but anonymous arrays still flatten deterministically.
-[[nodiscard]] std::map<std::string, double> FlattenNumeric(
-    const JsonValue& root);
+/// Every numeric leaf of `root` as path -> value in *out (bools count
+/// as 0/1; strings and nulls are skipped). Object members join with
+/// '.'; an array element's path segment is "[<identity>]" where
+/// identity is every identity member the element carries (the joined
+/// values of its name/label/shape/model/... string members, then its
+/// replicas/batch/alpha/... numeric members as key=value), falling
+/// back to the element index — so reordering results between runs
+/// doesn't misalign the diff, but anonymous arrays still flatten
+/// deterministically. Two elements of one array with the same identity
+/// would overwrite each other's metrics, so that returns false and
+/// sets *error to a message naming the path.
+[[nodiscard]] bool FlattenNumeric(const JsonValue& root,
+                                  std::map<std::string, double>* out,
+                                  std::string* error);
 
 // ---- Comparability ------------------------------------------------------
 

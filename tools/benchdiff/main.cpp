@@ -8,8 +8,9 @@
 // built-in defaults, so they take precedence), prints the provenance
 // strings that differ (git_sha, kernel_tier, ...) and the per-metric
 // delta table, and exits 0 when no gated metric regressed, 1 when one
-// did, 2 on usage / IO / parse errors and when the two runs are not
-// comparable (provenance.threads or provenance.build_type differ). DIR is one of higher | lower |
+// did, 2 on usage / IO / parse errors, on two array elements with the
+// same identity, and when the two runs are not comparable
+// (provenance.threads or provenance.build_type differ). DIR is one of higher | lower |
 // exact (either direction regresses) | ignore; REL is the relative noise threshold (fraction of |old|) and
 // ABS the absolute floor. --rel-scale multiplies every relative
 // threshold (CI passes >1 on noisy shared runners).
@@ -129,7 +130,11 @@ int main(int argc, char** argv) {
                 << ": " << error << "\n";
       return 2;
     }
-    flat[i] = shflbw::benchdiff::FlattenNumeric(docs[i]);
+    if (!shflbw::benchdiff::FlattenNumeric(docs[i], &flat[i], &error)) {
+      std::cerr << "benchdiff: " << paths[static_cast<std::size_t>(i)]
+                << ": " << error << "\n";
+      return 2;
+    }
   }
   const std::string incomparable =
       shflbw::benchdiff::IncomparableProvenance(docs[0], docs[1]);
