@@ -1,6 +1,7 @@
 // Deterministic random number generation for reproducible experiments.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -67,5 +68,19 @@ class Rng {
  private:
   std::mt19937_64 gen_;
 };
+
+/// Writes values [first, first + count) of the counter-based stream
+/// keyed by `seed` to out[0, count). Value i is a pure function of
+/// (seed, i): Philox4x32-10 (Salmon et al., SC'11) with key `seed` and
+/// counter i / 2 yields 128 bits, and value i is the Irwin–Hall sum of
+/// four of its 16-bit lanes (the low 64 bits for even i, the high 64
+/// for odd i), centred and scaled to mean 0 and variance 1 - 2^-32.
+/// So any slice equals the same slice of one long fill, and every value
+/// lies in [-2*sqrt(3), 2*sqrt(3)]. The only floating-point steps are
+/// an exact int -> float conversion and one multiply: no libm call or
+/// standard-library distribution touches the bits, and FMA contraction
+/// has nothing to fuse.
+void PhiloxNormalFill(std::uint64_t seed, std::uint64_t first,
+                      std::size_t count, float* out);
 
 }  // namespace shflbw

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/clock.h"
+#include "common/hot_path.h"
 #include "common/rng.h"
 #include "model/weight_synth.h"
 #include "quality/quality_planner.h"
@@ -94,41 +95,115 @@ const PackedWeight& Engine::Packed(int layer, Format format, double density,
       v);
 }
 
-const Matrix<float>& Engine::FusedGemmInput(int k, int n, int width) {
+namespace {
+
+/// 1 / RMS of one request's block of `out` (columns [col0, col0 + cols)
+/// of every row), or 1 for an all-zero block. Element p of the block
+/// (row-major, p = r * cols + c) adds its exact double square to lane
+/// p % 8, and the eight lanes are combined pairwise in a fixed order:
+/// the sum depends on the block alone, never on the batch width or
+/// the thread count, and FMA contraction cannot move it.
+float InvRms(const Matrix<float>& out, int col0, int cols) {
+  constexpr int kLanes = 8;
+  double lane[kLanes] = {};
+  std::size_t p = 0;  // block position of the next element
+  SHFLBW_HOT_BEGIN;
+  for (int r = 0; r < out.rows(); ++r) {
+    const float* src = out.row(r) + col0;
+    int c = 0;
+    for (; c < cols && p % kLanes != 0; ++c, ++p) {
+      lane[p % kLanes] += static_cast<double>(src[c]) * src[c];
+    }
+    for (; c + kLanes <= cols; c += kLanes, p += kLanes) {
+      for (int t = 0; t < kLanes; ++t) {
+        lane[t] += static_cast<double>(src[c + t]) * src[c + t];
+      }
+    }
+    for (; c < cols; ++c, ++p) {
+      lane[p % kLanes] += static_cast<double>(src[c]) * src[c];
+    }
+  }
+  SHFLBW_HOT_END;
+  const double sum_sq = ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+                        ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+  return sum_sq > 0.0 ? static_cast<float>(
+                            1.0 / std::sqrt(sum_sq / static_cast<double>(p)))
+                      : 1.0f;
+}
+
+/// Writes stream positions [pos, pos + count) of one request's block of
+/// `out` (columns [col0, col0 + cols) of every row, read row-major and
+/// wrapped cyclically), each times `scale`, to dst: whole runs up to
+/// the end of a block row, never a `%` per element.
+void CopyWrapped(const Matrix<float>& out, int col0, int cols, float scale,
+                 std::size_t pos, std::size_t count, float* dst) {
+  const std::size_t row_len = static_cast<std::size_t>(cols);
+  const std::size_t len = static_cast<std::size_t>(out.rows()) * row_len;
+  pos %= len;
+  SHFLBW_HOT_BEGIN;
+  while (count > 0) {
+    const std::size_t c = pos % row_len;
+    const std::size_t run = std::min(count, row_len - c);
+    const float* src = out.row(static_cast<int>(pos / row_len)) + col0 + c;
+    for (std::size_t t = 0; t < run; ++t) dst[t] = src[t] * scale;
+    dst += run;
+    count -= run;
+    pos += run;
+    if (pos == len) pos = 0;
+  }
+  SHFLBW_HOT_END;
+}
+
+}  // namespace
+
+void Engine::FillLayerInput(std::size_t layer,
+                            const std::vector<std::uint64_t>& seeds,
+                            const Matrix<float>& prev, int prev_cols) {
+  const LayerDesc& l = model_.layers[layer];
+  const int width = static_cast<int>(seeds.size());
   // Reshape, not reallocate-if-different: the exact logical extent
   // guarantees a narrower batch following a wider one cannot read the
   // wide batch's stale tail columns (Matrix::Reshape drops the tail).
-  gemm_input_scratch_.Reshape(k, n * width);
+  std::size_t per = 0;  // conv: one request's NCHW elements
+  if (l.kind == LayerKind::kGemm) {
+    gemm_input_scratch_.Reshape(l.gemm.k, l.gemm.n * width);
+  } else {
+    const ConvShape shape = ToConvShape(l.conv);
+    conv_input_scratch_.Reshape(shape.batch * width, shape.in_c, shape.in_h,
+                                shape.in_w);
+    per = static_cast<std::size_t>(shape.batch) * shape.in_c * shape.in_h *
+          shape.in_w;
+  }
+  SHFLBW_HOT_BEGIN;
   for (int j = 0; j < width; ++j) {
-    const std::vector<float>& stream = streams_[static_cast<std::size_t>(j)];
-    const std::size_t len = stream.size();
-    // Element order within the block matches a width-1 run exactly:
-    // row-major index i = r*n + c wrapped cyclically over the stream.
-    std::size_t i = 0;
-    for (int r = 0; r < k; ++r) {
-      float* dst = gemm_input_scratch_.row(r) + static_cast<std::size_t>(j) * n;
-      for (int c = 0; c < n; ++c, ++i) dst[c] = stream[i % len];
+    const std::uint64_t seed = seeds[static_cast<std::size_t>(j)];
+    const int col0 = j * prev_cols;
+    const float scale = layer == 0 ? 1.0f : InvRms(prev, col0, prev_cols);
+    // Request j's stream positions [pos, pos + count) into dst.
+    const auto stream = [&](std::size_t pos, std::size_t count, float* dst) {
+      if (layer == 0) {
+        PhiloxNormalFill(seed, pos, count, dst);
+      } else {
+        CopyWrapped(prev, col0, prev_cols, scale, pos, count, dst);
+      }
+    };
+    if (l.kind == LayerKind::kGemm) {
+      // Request j is column block [j*n, (j+1)*n); block row r holds
+      // stream positions [r*n, (r+1)*n).
+      const int n = l.gemm.n;
+      for (int r = 0; r < l.gemm.k; ++r) {
+        stream(static_cast<std::size_t>(r) * n, static_cast<std::size_t>(n),
+               gemm_input_scratch_.row(r) + static_cast<std::size_t>(j) * n);
+      }
+    } else {
+      // NCHW with batch outermost: request j's images are the
+      // contiguous range [j*per, (j+1)*per).
+      stream(0, per,
+             conv_input_scratch_.data.data() +
+                 static_cast<std::size_t>(j) * per);
     }
   }
-  return gemm_input_scratch_;
-}
-
-const Tensor4& Engine::FusedConvInput(const ConvShape& shape, int width) {
-  conv_input_scratch_.Reshape(shape.batch * width, shape.in_c, shape.in_h,
-                              shape.in_w);
-  // NCHW with batch outermost: request j's images are the contiguous
-  // range [j*per, (j+1)*per), filled in the same order a width-1 run
-  // fills its whole tensor.
-  const std::size_t per = static_cast<std::size_t>(shape.batch) *
-                          shape.in_c * shape.in_h * shape.in_w;
-  for (int j = 0; j < width; ++j) {
-    const std::vector<float>& stream = streams_[static_cast<std::size_t>(j)];
-    const std::size_t len = stream.size();
-    float* dst = conv_input_scratch_.data.data() +
-                 static_cast<std::size_t>(j) * per;
-    for (std::size_t i = 0; i < per; ++i) dst[i] = stream[i % len];
-  }
-  return conv_input_scratch_;
+  SHFLBW_HOT_END;
 }
 
 const std::vector<Engine::KernelMetrics>& Engine::KernelMetricsHandles() {
@@ -199,6 +274,7 @@ BatchRunResult Engine::RunBatched(const std::vector<std::uint64_t>& seeds,
   SHFLBW_CHECK_MSG(!seeds.empty(), "RunBatched needs at least one request");
   const int width = static_cast<int>(seeds.size());
   const ExecutionPlan& plan = Plan();
+  const double begin = NowSeconds();
   const std::size_t packs_before = cache_->TotalPacks();
   obs::Telemetry* const tel = opts_.telemetry.get();
   const bool profile = tel != nullptr && tel->metrics_on();
@@ -208,32 +284,18 @@ BatchRunResult Engine::RunBatched(const std::vector<std::uint64_t>& seeds,
 
   BatchRunResult result;
   result.width = width;
-  // Fresh deterministic input stream per request, exactly as a width-1
-  // run of the same seed would build it: identical values regardless of
-  // thread count, batch width, prior calls or co-batched neighbours.
-  streams_.resize(static_cast<std::size_t>(width));
-  {
-    const LayerDesc& first = model_.layers.front();
-    const std::size_t need =
-        first.kind == LayerKind::kConv
-            ? static_cast<std::size_t>(first.conv.batch) * first.conv.in_c *
-                  first.conv.in_h * first.conv.in_w
-            : static_cast<std::size_t>(first.gemm.k) * first.gemm.n;
-    for (int j = 0; j < width; ++j) {
-      Rng rng(seeds[static_cast<std::size_t>(j)]);
-      std::vector<float>& stream = streams_[static_cast<std::size_t>(j)];
-      stream.resize(need);
-      for (float& x : stream) x = static_cast<float>(rng.Normal());
-    }
-  }
+  // The previous layer's fused output, `prev_cols` columns per request:
+  // the source of the next layer's fill.
+  Matrix<float> prev;
+  int prev_cols = 0;
 
   for (std::size_t i = 0; i < model_.layers.size(); ++i) {
     const LayerDesc& l = model_.layers[i];
     const LayerPlan& lp = plan.layers[i];
     // Fault hook: one consultation per layer launch (may delay or throw
     // TransientFault — the scheduler's retry path re-enters RunBatched,
-    // which rebuilds all streaming state, so a mid-model abort leaves
-    // nothing to corrupt).
+    // which refills every input from the seeds, so a mid-model abort
+    // leaves nothing to corrupt).
     if (opts_.fault_injector) opts_.fault_injector->OnKernelLaunch();
     const PackedWeight& w =
         Packed(static_cast<int>(i), lp.format, lp.density, lp.v);
@@ -242,25 +304,24 @@ BatchRunResult Engine::RunBatched(const std::vector<std::uint64_t>& seeds,
     // widen N to n*width (request j = column block j), conv layers
     // widen the batch to batch*width (request j = batch block j, which
     // Im2Col turns into column block j of the implicit GEMM).
-    double adapt0 = NowSeconds();
+    FillLayerInput(i, seeds, prev, prev_cols);
+    prev = Matrix<float>();  // consumed: free it before the launch
     const FormatOps& ops = Ops(w.format);
     Matrix<float> layer_out;
     double t0 = 0, t1 = 0;
     int block_n = 0;  // per-request output columns of this layer
     if (l.kind == LayerKind::kGemm) {
       block_n = l.gemm.n;
-      const Matrix<float>& act = FusedGemmInput(l.gemm.k, l.gemm.n, width);
       t0 = NowSeconds();
-      layer_out = ops.gemm(w, act);
+      layer_out = ops.gemm(w, gemm_input_scratch_);
       t1 = NowSeconds();
     } else {
       const ConvShape shape = ToConvShape(l.conv);
       block_n = shape.GemmN();
       ConvShape fused = shape;
       fused.batch = shape.batch * width;
-      const Tensor4& input = FusedConvInput(shape, width);
       t0 = NowSeconds();
-      layer_out = ops.conv(w, fused, input);
+      layer_out = ops.conv(w, fused, conv_input_scratch_);
       t1 = NowSeconds();
     }
 
@@ -310,66 +371,30 @@ BatchRunResult Engine::RunBatched(const std::vector<std::uint64_t>& seeds,
       tel->trace().Record(ev);
     }
     result.layers.push_back(std::move(rec));
+    prev = std::move(layer_out);
+    prev_cols = block_n;
+  }
 
-    // Stream this layer's output into the next layer's input at unit
-    // RMS — the stand-in for the inter-layer normalization real models
-    // carry; without it activations compound out of fp16 range within a
-    // few layers. The reduction runs PER REQUEST over its own column
-    // block, visiting elements in the block's row-major order — the
-    // exact value sequence (and thus the exact double accumulation and
-    // inv_rms bit pattern) of a width-1 run of the same request. The
-    // final layer streams into nothing, so it skips the pass entirely.
-    const int rows = layer_out.rows();
-    const bool last = i + 1 == model_.layers.size();
-    for (int j = 0; !last && j < width; ++j) {
-      double sum_sq = 0.0;
-      for (int r = 0; r < rows; ++r) {
+  // De-interleave the final layer's fused output into per-request
+  // matrices. At width 1 the whole matrix IS request 0's block: move
+  // it, keeping the serial Run path zero-copy.
+  result.outputs.reserve(static_cast<std::size_t>(width));
+  if (width == 1) {
+    result.outputs.push_back(std::move(prev));
+  } else {
+    for (int j = 0; j < width; ++j) {
+      Matrix<float> out(prev.rows(), prev_cols);
+      for (int r = 0; r < prev.rows(); ++r) {
         const float* src =
-            layer_out.row(r) + static_cast<std::size_t>(j) * block_n;
-        for (int c = 0; c < block_n; ++c) {
-          const float x = src[c];
-          sum_sq += static_cast<double>(x) * x;
-        }
+            prev.row(r) + static_cast<std::size_t>(j) * prev_cols;
+        std::copy(src, src + prev_cols, out.row(r));
       }
-      const std::size_t block_size =
-          static_cast<std::size_t>(rows) * block_n;
-      const float inv_rms =
-          sum_sq > 0.0
-              ? static_cast<float>(1.0 / std::sqrt(sum_sq / block_size))
-              : 1.0f;
-      std::vector<float>& stream = streams_[static_cast<std::size_t>(j)];
-      stream.resize(block_size);
-      for (int r = 0; r < rows; ++r) {
-        const float* src =
-            layer_out.row(r) + static_cast<std::size_t>(j) * block_n;
-        float* dst = stream.data() + static_cast<std::size_t>(r) * block_n;
-        for (int c = 0; c < block_n; ++c) dst[c] = src[c] * inv_rms;
-      }
-    }
-    result.overhead_seconds += (t0 - adapt0) + (NowSeconds() - t1);
-
-    if (last) {
-      // De-interleave the fused output into per-request matrices. At
-      // width 1 the whole matrix IS request 0's block: move it, keeping
-      // the serial Run path zero-copy as before.
-      result.outputs.reserve(static_cast<std::size_t>(width));
-      if (width == 1) {
-        result.outputs.push_back(std::move(layer_out));
-      } else {
-        for (int j = 0; j < width; ++j) {
-          Matrix<float> out(rows, block_n);
-          for (int r = 0; r < rows; ++r) {
-            const float* src =
-                layer_out.row(r) + static_cast<std::size_t>(j) * block_n;
-            std::copy(src, src + block_n, out.row(r));
-          }
-          result.outputs.push_back(std::move(out));
-        }
-      }
+      result.outputs.push_back(std::move(out));
     }
   }
 
   result.packs_performed = cache_->TotalPacks() - packs_before;
+  result.overhead_seconds = NowSeconds() - begin - result.kernel_seconds;
   return result;
 }
 
@@ -377,16 +402,17 @@ double Engine::TimeLayerOnce(int layer, const FormatCandidate& cand) {
   const LayerDesc& l = model_.layers[static_cast<std::size_t>(layer)];
   const PackedWeight& w = Packed(layer, cand.format, cand.density, cand.v);
   // Deterministic throwaway activations at this layer's shape.
-  Rng rng(opts_.activation_seed ^ 0x7a11u);
+  const std::uint64_t seed = opts_.activation_seed ^ 0x7a11u;
   if (l.kind == LayerKind::kGemm) {
-    const Matrix<float> act = rng.NormalMatrix(l.gemm.k, l.gemm.n);
+    Matrix<float> act(l.gemm.k, l.gemm.n);
+    PhiloxNormalFill(seed, 0, act.size(), act.data());
     const double t0 = NowSeconds();
     (void)Ops(w.format).gemm(w, act);
     return NowSeconds() - t0;
   }
   const ConvShape shape = ToConvShape(l.conv);
   Tensor4 input(shape.batch, shape.in_c, shape.in_h, shape.in_w);
-  for (float& x : input.data) x = static_cast<float>(rng.Normal());
+  PhiloxNormalFill(seed, 0, input.data.size(), input.data.data());
   const double t0 = NowSeconds();
   (void)Ops(w.format).conv(w, shape, input);
   return NowSeconds() - t0;

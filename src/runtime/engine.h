@@ -7,10 +7,13 @@
 //            once into the PackedWeightCache (weights are synthesized
 //            deterministically per layer, standing in for trained
 //            checkpoints as everywhere else in this repo).
-//   execute  Run streams activations layer-to-layer through the
-//            functional kernels on the persistent ParallelFor pool,
-//            reusing per-engine activation scratch; outputs are
-//            bit-identical at any thread count because every kernel is.
+//   execute  Run writes each layer's fused input straight into
+//            per-engine scratch (layer 0 from a counter-based generator
+//            keyed by the request seed, later layers from the previous
+//            layer's output at unit RMS) and launches the functional
+//            kernels on the persistent ParallelFor pool; outputs are
+//            bit-identical at any thread count because every kernel and
+//            every fill is.
 //
 // The schedule-once / run-many split follows the compile-then-execute
 // structure of inductor-style runtimes: Plan() is paid once, Run() is
@@ -87,7 +90,10 @@ struct RunResult {
   Matrix<float> output;        // final layer output (original row order)
   double kernel_seconds = 0;   // sum of per-layer kernel time, 1 invocation each
   double weighted_seconds = 0; // repeat-weighted whole-model latency
-  double overhead_seconds = 0; // activation streaming + normalization
+  /// Wall time of the call minus kernel_seconds: input fills,
+  /// normalization, the output hand-off, hooks, and any packing the
+  /// call triggered.
+  double overhead_seconds = 0;
   std::size_t packs_performed = 0;  // conversions triggered by this Run
   std::vector<LayerRunRecord> layers;
 };
@@ -100,7 +106,10 @@ struct BatchRunResult {
   int width = 0;               // K, the number of fused requests
   double kernel_seconds = 0;   // sum of per-layer fused kernel time
   double weighted_seconds = 0; // repeat-weighted fused whole-model latency
-  double overhead_seconds = 0; // activation streaming + normalization
+  /// Wall time of the call minus kernel_seconds: input fills,
+  /// normalization, de-interleave, hooks, and any packing the call
+  /// triggered.
+  double overhead_seconds = 0;
   std::size_t packs_performed = 0;  // conversions triggered by this call
   /// One record per layer — ONE fused launch per layer, not K; seconds
   /// and useful_flops cover the K-wide launch, modeled_* stay
@@ -153,10 +162,11 @@ class Engine {
   /// Cross-request fused execution: packs the K requests' activations
   /// into one n*K-column matrix per GEMM layer (batch*K per conv layer)
   /// and streams it through the packed weights with ONE kernel launch
-  /// per layer instead of K. Inter-layer RMS normalization is applied
-  /// per request over its own column block in the serial element order,
-  /// so outputs[j] is bit-identical to Run(seeds[j]) at any thread
-  /// count and any batch width — the wide-batch contract of
+  /// per layer instead of K. Every input value is a function of (seed,
+  /// position in the request's block) alone, and inter-layer RMS
+  /// normalization sums each request's own column block in fixed lanes
+  /// by position, so outputs[j] is bit-identical to Run(seeds[j]) at
+  /// any thread count and any batch width — the wide-batch contract of
   /// kernels/kernel_api.h carried through the whole model. Scratch is
   /// re-shaped (exact extent, never capacity-only) between calls, so
   /// mixed widths K cannot leak stale tail columns. seeds must be
@@ -185,14 +195,21 @@ class Engine {
   /// cache key (layer, format, density, v) keeps entries distinct.
   const PackedWeight& Packed(int layer, Format format, double density, int v);
 
-  /// Fills this layer's fused input from the per-request activation
-  /// streams (each request's previous-layer RMS-normalized output,
-  /// wrapped cyclically to the required shape) into the per-engine
-  /// scratch buffers. Request j occupies column block [j*n, (j+1)*n)
-  /// (GEMM) / batch block [j*batch, (j+1)*batch) (conv), filled in the
-  /// exact element order a width-1 run uses.
-  const Matrix<float>& FusedGemmInput(int k, int n, int width);
-  const Tensor4& FusedConvInput(const ConvShape& shape, int width);
+  /// Writes layer `layer`'s fused input into the per-engine scratch
+  /// (gemm_input_scratch_ or conv_input_scratch_, re-shaped to the
+  /// exact extent). Request j occupies column block [j*n, (j+1)*n)
+  /// (GEMM) / batch block [j*batch, (j+1)*batch) (conv), and element p
+  /// of its block (row-major / NCHW) is position p of its stream:
+  /// layer 0 reads PhiloxNormalFill keyed by seeds[j]; a later layer
+  /// reads request j's block of `prev`, the previous layer's fused
+  /// output with `prev_cols` columns per request, in row-major order,
+  /// scaled to unit RMS and wrapped cyclically to the required shape.
+  /// Every value is a function of (seed, position in the request's
+  /// block) alone, so a request's input is the same at any batch width
+  /// and thread count.
+  void FillLayerInput(std::size_t layer,
+                      const std::vector<std::uint64_t>& seeds,
+                      const Matrix<float>& prev, int prev_cols);
 
   /// Re-ranks each layer's top candidates by measured time (packs them
   /// through the cache, so the work is reused by Run). With per-layer
@@ -228,12 +245,10 @@ class Engine {
   std::shared_ptr<PackedWeightCache> cache_;  // owned unless injected
   std::vector<std::optional<Matrix<float>>> masters_;
 
-  // Streaming state + per-engine scratch, reused across layers and
-  // Runs. streams_[j] is request j's activation stream; the fused input
-  // scratch is re-shaped to the current batch width on every layer (see
+  // Per-engine fused input scratch, reused across layers and Runs and
+  // re-shaped to the current batch width on every layer (see
   // Matrix::Reshape — exact extent, so a narrow batch after a wide one
   // never reads the wide batch's tail columns).
-  std::vector<std::vector<float>> streams_;
   Matrix<float> gemm_input_scratch_;
   Tensor4 conv_input_scratch_;
   std::vector<KernelMetrics> kernel_metrics_;  // empty until first use

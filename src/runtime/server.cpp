@@ -190,7 +190,11 @@ BatchServer::BatchServer(ModelDesc model, ServerOptions opts)
 
   threads_.reserve(engines_.size());
   for (int r = 0; r < static_cast<int>(engines_.size()); ++r) {
-    threads_.emplace_back([this, r] { ReplicaLoop(r); });
+    // Registered here, not on the new thread, so statusz and the
+    // watchdog list every replica from construction on, however late
+    // its thread is first scheduled.
+    const int hb = heartbeats_.Register("replica" + std::to_string(r));
+    threads_.emplace_back([this, r, hb] { ReplicaLoop(r, hb); });
   }
   if (opts_.watchdog.enabled) {
     // Watches the replica heartbeats and the process-wide ParallelFor
@@ -474,18 +478,21 @@ bool BatchServer::DumpTrace(const std::string& path) const {
   return telemetry_->trace().DumpChromeTrace(path);
 }
 
-void BatchServer::ReplicaLoop(int replica) {
+void BatchServer::ReplicaLoop(int replica, int hb) {
   // Heartbeat discipline: armed whenever this thread owns work (from
   // wait-return to batch retirement), disarmed while it legitimately
   // blocks on an empty queue — so armed silence is always a stall.
-  const int hb = heartbeats_.Register("replica" + std::to_string(replica));
   UniqueLock lock(mu_);
   double window_start = -1;
   // Drain-on-shutdown: AwaitWork keeps returning work until the queue
   // is empty, so every future obtained from Submit resolves.
   while (AwaitWork(hb, &window_start)) {
     Batch batch = Seal(replica, window_start);
+    const bool left_work = !queue_.empty();
     lock.Unlock();
+    // Work left past this replica's share goes to an idle sibling even
+    // when no Submit is left to wake one.
+    if (left_work) not_empty_.NotifyOne();
     heartbeats_.Beat(hb, NowSeconds());
     // Freed slots: wake every blocked Submit, not just one.
     if (batch.requests.size() > 1) {
@@ -536,7 +543,12 @@ bool BatchServer::AwaitWork(int hb, double* window_start) {
 }
 
 BatchServer::Batch BatchServer::Seal(int replica, double window_start) {
-  // The K oldest requests, FIFO submission order. Deadline-expired
+  // The K oldest requests, FIFO submission order. K is at most
+  // max_batch; without a coalesce window it is also at most this
+  // replica's share of the queue, ceil(queued / replicas) (guided
+  // self-scheduling): widths shrink as the queue drains, so replicas
+  // coming free share the tail instead of waiting behind one replica
+  // that took max_batch just before them. Deadline-expired
   // requests (except kCritical) are shed here — they resolve with
   // kDeadlineExceeded instead of occupying a width slot in the fused
   // launch, so the launch carries only live work. A forced (warmup)
@@ -548,14 +560,19 @@ BatchServer::Batch BatchServer::Seal(int replica, double window_start) {
   b.replica = replica;
   b.seal_time = NowSeconds();
   const std::size_t depth = queue_.size();
+  const std::size_t replicas = engines_.size();
+  const std::size_t width_cap =
+      opts_.coalesce_window_seconds > 0
+          ? static_cast<std::size_t>(opts_.max_batch)
+          : std::min(static_cast<std::size_t>(opts_.max_batch),
+                     (depth + replicas - 1) / replicas);
   std::vector<Pending> shed;
   if (queue_.front().force_level >= 0) {
     b.level = queue_.front().force_level;
     b.requests.push_back(std::move(queue_.front()));
     queue_.pop_front();
   } else {
-    while (!queue_.empty() &&
-           b.requests.size() < static_cast<std::size_t>(opts_.max_batch) &&
+    while (!queue_.empty() && b.requests.size() < width_cap &&
            queue_.front().force_level < 0) {
       Pending p = std::move(queue_.front());
       queue_.pop_front();

@@ -13,7 +13,10 @@
 // requests cost one kernel launch per layer instead of K. Fairness is
 // FIFO: a batch is always the K oldest queued requests (never
 // reordered), and `coalesce_window_seconds` bounds how long a partial
-// batch may wait for company.
+// batch may wait for company. Without a window a replica seals at most
+// its share of the queue, ceil(queued / replicas), so a burst spreads
+// over the replicas in shrinking widths instead of a few max_batch
+// launches leaving the tail to wait behind them.
 //
 // Overload resilience (runtime/admission.h): requests carry a deadline
 // and a QoS class; Submit/TrySubmit return a typed SubmitStatus, and a
@@ -67,7 +70,8 @@ struct ServerOptions {
   /// Max requests a replica coalesces into one fused RunBatched launch
   /// (1 = classic one-request-per-launch serving). Coalescing is FIFO:
   /// the batch is always the oldest queued requests, in submission
-  /// order.
+  /// order. With no coalesce window a launch also takes at most
+  /// ceil(queued / replicas) of them.
   int max_batch = 8;
   /// How long an idle replica holds a partial batch open waiting for
   /// more requests before launching it (0 = launch immediately with
@@ -380,13 +384,16 @@ class BatchServer {
   void Record(const Decision& d) SHFLBW_REQUIRES(mu_);
 
   /// One replica's scheduler thread: a loop over the four steps below.
-  void ReplicaLoop(int replica) SHFLBW_EXCLUDES(mu_);
+  /// `hb` is its heartbeat slot, registered before the thread starts
+  /// and returned when the loop ends.
+  void ReplicaLoop(int replica, int hb) SHFLBW_EXCLUDES(mu_);
   /// Step 1: blocks until there is work, then holds the coalesce window
   /// open. *window_start is the window's start, or -1 when the batch
   /// seals without one. False once shut down with an empty queue.
   bool AwaitWork(int hb, double* window_start) SHFLBW_REQUIRES(mu_);
-  /// Step 2: seals the oldest requests into a batch, shedding expired
-  /// ones and letting the controller pick (and shift) the level.
+  /// Step 2: seals the oldest requests (without a coalesce window, at
+  /// most this replica's share of the queue) into a batch, shedding
+  /// expired ones and letting the controller pick (and shift) the level.
   Batch Seal(int replica, double window_start) SHFLBW_REQUIRES(mu_);
   /// Step 3: resolves the shed requests, runs the batch with bounded
   /// retry, records the completion and resolves the batch's requests.
@@ -467,7 +474,7 @@ class BatchServer {
   std::string last_stall_ SHFLBW_GUARDED_BY(mu_);
   double last_stall_age_ SHFLBW_GUARDED_BY(mu_) = 0;
 
-  /// Replica-thread heartbeats; slots registered by ReplicaLoop.
+  /// Replica-thread heartbeats; slots registered by the constructor.
   obs::HeartbeatRegistry heartbeats_;
   /// Monotonic construction time (statusz uptime).
   double start_seconds_ = 0;

@@ -4,6 +4,7 @@
 // each (layer, format) exactly once across all replicas, the bounded
 // queue applies backpressure, Drain never returns with requests in
 // flight, and shutdown resolves every admitted request.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -109,6 +110,13 @@ TEST(BatchServer, SchedulerUsesMultipleReplicas) {
   ServerOptions opts;
   opts.replicas = 2;
   opts.engine = SmallOptions();
+  // Every layer launch is held ~20 ms, so a replica is still inside its
+  // launch while queued work remains and the other replica must take
+  // some, however fast an unheld launch runs.
+  FaultInjectorOptions slow;
+  slow.launch_delay_rate = 1.0;
+  slow.launch_delay_seconds = 0.02;
+  opts.engine.fault_injector = std::make_shared<FaultInjector>(slow);
   BatchServer server(SmallTransformer(), opts);
   server.Warmup();
   std::vector<std::future<Response>> futures;
@@ -125,6 +133,39 @@ TEST(BatchServer, SchedulerUsesMultipleReplicas) {
   EXPECT_GT(stats.per_replica[0], 0u);
   EXPECT_GT(stats.per_replica[1], 0u);
   for (auto& f : futures) (void)f.get();
+}
+
+// Without a coalesce window a replica seals at most its share of the
+// queue, ceil(depth / replicas), and leaves the rest to its siblings.
+// Held launches keep the replicas busy, so a queue stands behind them.
+TEST(BatchServer, WindowlessSealTakesItsShareOfTheQueue) {
+  ThreadGuard guard;
+  SetParallelThreads(4);
+  constexpr int kReplicas = 4;
+  constexpr int kMaxBatch = 8;
+  ServerOptions opts;
+  opts.replicas = kReplicas;
+  opts.max_batch = kMaxBatch;
+  opts.engine = SmallOptions();
+  FaultInjectorOptions slow;
+  slow.launch_delay_rate = 1.0;
+  slow.launch_delay_seconds = 0.005;
+  opts.engine.fault_injector = std::make_shared<FaultInjector>(slow);
+  BatchServer server(SmallTransformer(), opts);
+  server.Warmup();
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < 32; ++i) futures.push_back(server.Submit(Request{}));
+  server.Drain();
+  int capped = 0;  // seals that left queued work past their share
+  for (const obs::FlightEvent& e : server.telemetry().flight().Snapshot()) {
+    if (e.kind != obs::FlightKind::kSeal) continue;
+    const int depth = e.detail2;  // queued requests at the seal
+    EXPECT_LE(e.width, (depth + kReplicas - 1) / kReplicas)
+        << "seal at depth " << depth;
+    if (e.width < std::min(kMaxBatch, depth)) ++capped;
+  }
+  EXPECT_GT(capped, 0);
+  for (auto& f : futures) EXPECT_EQ(f.get().status, ResponseStatus::kOk);
 }
 
 TEST(BatchServer, TrySubmitReportsFullQueue) {
