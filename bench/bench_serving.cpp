@@ -1027,25 +1027,20 @@ int Main(int argc, char** argv) {
                  obs.median_ratio, obs.enabled_rps, obs.disabled_rps);
     ok = false;
   }
-  // Span-census gates only apply when spans exist: at SHFLBW_OBS=0 the
-  // recorder compiles to a no-op and the dumped trace is (correctly)
-  // empty.
-  if constexpr (shflbw::obs::kCompiledIn) {
-    if (trace.queue == 0 || trace.coalesce == 0 || trace.kernel == 0 ||
-        trace.retry == 0 || trace.shed == 0 || trace.run == 0) {
-      std::fprintf(stderr, "FAIL: trace scenario missing a span kind "
-                   "(queue %zu, coalesce %zu, kernel %zu, retry %zu, "
-                   "shed %zu, run %zu)\n",
-                   trace.queue, trace.coalesce, trace.kernel, trace.retry,
-                   trace.shed, trace.run);
-      ok = false;
-    }
-    if (!trace.degraded_run || !trace.retried_run) {
-      std::fprintf(stderr, "FAIL: trace scenario lacks a %s run span\n",
-                   !trace.degraded_run ? "degraded (level > 0)"
-                                       : "retried (retries > 0)");
-      ok = false;
-    }
+  if (trace.queue == 0 || trace.coalesce == 0 || trace.kernel == 0 ||
+      trace.retry == 0 || trace.shed == 0 || trace.run == 0) {
+    std::fprintf(stderr, "FAIL: trace scenario missing a span kind "
+                 "(queue %zu, coalesce %zu, kernel %zu, retry %zu, "
+                 "shed %zu, run %zu)\n",
+                 trace.queue, trace.coalesce, trace.kernel, trace.retry,
+                 trace.shed, trace.run);
+    ok = false;
+  }
+  if (!trace.degraded_run || !trace.retried_run) {
+    std::fprintf(stderr, "FAIL: trace scenario lacks a %s run span\n",
+                 !trace.degraded_run ? "degraded (level > 0)"
+                                     : "retried (retries > 0)");
+    ok = false;
   }
   if (!trace.wrote_trace || !trace.wrote_metrics) {
     std::fprintf(stderr, "FAIL: could not write %s\n",

@@ -24,12 +24,12 @@ inline void Section(const std::string& t) {
 
 /// Emits the `"provenance": {...},` member every BENCH_*.json carries
 /// (called right after the opening `{ "bench": ... }` line): build sha,
-/// compiler, flags, SHFLBW_OBS state, the VW-family kernel tier this
-/// host runs and the resolved thread count, so tools/benchdiff can label
-/// the two runs it compares and a regression report says what built each
-/// side. Keys under provenance never gate (benchdiff's default rules
-/// ignore them), but benchdiff refuses to compare runs whose threads or
-/// build_type differ.
+/// compiler, flags, the VW-family kernel tier this host runs and the
+/// resolved thread count, so tools/benchdiff can label the two runs it
+/// compares and a regression report says what built each side. Keys
+/// under provenance never gate (benchdiff's default rules ignore them),
+/// but benchdiff refuses to compare runs whose threads or build_type
+/// differ.
 inline void WriteProvenance(std::FILE* f) {
   const BuildInfo& bi = GetBuildInfo();
   std::fprintf(f, "  \"provenance\": {\n");
@@ -42,8 +42,6 @@ inline void WriteProvenance(std::FILE* f) {
   std::fprintf(f, "    \"cxx_flags\": \"%s\",\n",
                obs::JsonEscape(bi.cxx_flags).c_str());
   std::fprintf(f, "    \"cxx_standard\": %ld,\n", bi.cxx_standard);
-  std::fprintf(f, "    \"obs_compiled_in\": %s,\n",
-               bi.obs_compiled_in ? "true" : "false");
   std::fprintf(f, "    \"kernel_tier\": \"%s\",\n",
                KernelTierName(ActiveKernelTier()));
   std::fprintf(f, "    \"threads\": %d\n", ParallelThreadCount());

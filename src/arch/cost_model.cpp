@@ -138,16 +138,6 @@ double CusparseBsrInstability(GpuArch arch, int block_size) {
   return 1.0;
 }
 
-const char* BoundName(Bound b) {
-  switch (b) {
-    case Bound::kCompute: return "compute";
-    case Bound::kDram: return "dram";
-    case Bound::kL2: return "l2";
-    case Bound::kOverhead: return "overhead";
-  }
-  return "?";
-}
-
 TimeBreakdown CostModel::Estimate(const KernelStats& s) const {
   const Efficiency eff = EfficiencyFor(s.kernel_class, spec_.arch);
 

@@ -18,8 +18,6 @@ namespace shflbw {
 /// Which roofline a kernel sits under.
 enum class Bound { kCompute, kDram, kL2, kOverhead };
 
-const char* BoundName(Bound b);
-
 /// Per-component modelled times (seconds).
 struct TimeBreakdown {
   double compute_s = 0;

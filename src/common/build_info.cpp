@@ -1,10 +1,12 @@
 #include "common/build_info.h"
 
-#include "obs/obs_config.h"
-
-// CMake stamps these three onto this file alone (see the
+// CMake regenerates shflbw_git_sha.h on every build (cmake/GitSha.cmake)
+// and stamps the other two onto this file alone (the
 // set_source_files_properties block in CMakeLists.txt); the fallbacks
 // keep the file buildable outside CMake (IDE indexers, tooling).
+#if __has_include("shflbw_git_sha.h")
+#include "shflbw_git_sha.h"
+#endif
 #ifndef SHFLBW_GIT_SHA
 #define SHFLBW_GIT_SHA "unknown"
 #endif
@@ -25,7 +27,6 @@ const BuildInfo& GetBuildInfo() {
     b.build_type = SHFLBW_BUILD_TYPE;
     b.cxx_flags = SHFLBW_CXX_FLAGS;
     b.cxx_standard = __cplusplus;
-    b.obs_compiled_in = obs::kCompiledIn;
     return b;
   }();
   return info;

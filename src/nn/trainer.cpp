@@ -90,10 +90,6 @@ void Trainer::GrowAndPruneFineTune(const LayerMasker& masker,
   }
 }
 
-double Trainer::TrainAccuracy() {
-  return Accuracy(model_.Forward(data_.train_x), data_.train_y);
-}
-
 double Trainer::TestAccuracy() {
   return Accuracy(model_.Forward(data_.test_x), data_.test_y);
 }

@@ -43,7 +43,6 @@ class Trainer {
                             int rounds, double grow_ratio,
                             const TrainOptions& opts);
 
-  double TrainAccuracy();
   double TestAccuracy();
 
  private:

@@ -37,8 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/obs_config.h"
-
 namespace shflbw {
 namespace obs {
 
@@ -101,8 +99,6 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   /// Records one event. Wait-free; never blocks, never allocates.
-  /// Compiles to nothing when SHFLBW_OBS=0 (kCompiledIn false), like
-  /// every other per-event record call in obs/.
   void Record(const FlightEvent& ev);
 
   /// Copies out the surviving window of recent events in ticket

@@ -23,11 +23,6 @@
 // format="shfl_bw"}`. The exposition groups families (the part before
 // '{') and emits standard `# HELP` / `# TYPE` headers, cumulative
 // `_bucket{le=...}` lines for histograms, and `_sum`/`_count`.
-//
-// The whole subsystem honours the SHFLBW_OBS compile-time master
-// switch (obs/obs_config.h): with SHFLBW_OBS=0 the histogram recording
-// path compiles to nothing. Counters and gauges stay live at any
-// setting — they are the mechanism ServerStats sits on.
 #pragma once
 
 #include <atomic>
@@ -39,7 +34,6 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
-#include "obs/obs_config.h"
 
 namespace shflbw {
 namespace obs {
@@ -105,15 +99,11 @@ class Histogram {
   explicit Histogram(double min_value = 1e-6);
 
   void Record(double value) {
-#if SHFLBW_OBS
     const int b = BucketOf(value);
     Shard& s = shards_[ThisThreadShard()];
     s.buckets[static_cast<std::size_t>(b)].fetch_add(
         1, std::memory_order_relaxed);
     s.sum.fetch_add(value, std::memory_order_relaxed);
-#else
-    (void)value;
-#endif
   }
 
   /// Total samples recorded (merged over shards).

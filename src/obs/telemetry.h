@@ -1,6 +1,6 @@
 // The telemetry bundle one server (and its engines) share: a metrics
-// Registry, a TraceRecorder, and the runtime enable flags that sit on
-// top of the SHFLBW_OBS compile-time switch.
+// Registry, a TraceRecorder, a FlightRecorder, and their runtime
+// enable flags.
 //
 // Ownership: BatchServer constructs one Telemetry from
 // ServerOptions::telemetry and hands a shared_ptr to every Engine
@@ -54,21 +54,17 @@ class Telemetry {
   const FlightRecorder& flight() const { return flight_; }
 
   /// True when histogram/profiling recording should happen.
-  bool metrics_on() const {
-    if constexpr (!kCompiledIn) return false;
-    return metrics_.load(std::memory_order_relaxed);
-  }
-  /// True when span recording should happen (folds in the compile-time
-  /// switch and the ring's runtime flag).
+  bool metrics_on() const { return metrics_.load(std::memory_order_relaxed); }
+  /// True when span recording should happen (the ring's runtime flag).
   bool tracing_on() const { return trace_.enabled(); }
 
   /// Runtime toggles, safe on a live server: every recording site
   /// re-reads the flags per call, so metrics or tracing can be flipped
   /// on to capture an incident window (or off to A/B the overhead)
   /// without reconstructing engines. `set_tracing` forwards to the
-  /// ring's own flag; both are no-ops at SHFLBW_OBS=0.
+  /// ring's own flag.
   void set_metrics(bool on) { metrics_.store(on, std::memory_order_relaxed); }
-  void set_tracing(bool on) { trace_.SetEnabled(kCompiledIn && on); }
+  void set_tracing(bool on) { trace_.SetEnabled(on); }
 
  private:
   std::atomic<bool> metrics_;

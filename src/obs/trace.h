@@ -39,8 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/obs_config.h"
-
 namespace shflbw {
 namespace obs {
 
@@ -97,16 +95,9 @@ class TraceRecorder {
   /// default — tracing is opt-in per server/engine. The first enable
   /// allocates the ring.
   void SetEnabled(bool on);
-  bool enabled() const {
-    if constexpr (!kCompiledIn) return false;
-    return enabled_.load(std::memory_order_relaxed);
-  }
+  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   void Record(const TraceEvent& ev) {
-    if constexpr (!kCompiledIn) {
-      (void)ev;
-      return;
-    }
     if (!enabled()) return;
     Slot* const slots = slots_.load(std::memory_order_acquire);
     if (slots == nullptr) return;  // enable still publishing the ring

@@ -19,15 +19,6 @@ const char* SubmitStatusName(SubmitStatus status) {
   return "unknown";
 }
 
-const char* QoSName(QoS qos) {
-  switch (qos) {
-    case QoS::kBestEffort: return "best-effort";
-    case QoS::kStandard: return "standard";
-    case QoS::kCritical: return "critical";
-  }
-  return "unknown";
-}
-
 AdmissionController::AdmissionController(AdmissionPolicy policy, int replicas)
     : policy_(policy), replicas_(std::max(1, replicas)) {}
 

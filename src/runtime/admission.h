@@ -60,8 +60,6 @@ enum class QoS {
   kCritical,
 };
 
-const char* QoSName(QoS qos);
-
 struct AdmissionPolicy {
   /// Reject requests whose deadline is provably unmeetable at submit
   /// time (kCritical is exempt). Estimation is conservative — see

@@ -1,8 +1,8 @@
 #include "runtime/engine.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <sstream>
 
 #include "common/check.h"
 #include "common/clock.h"
@@ -21,7 +21,6 @@ Engine::Engine(ModelDesc model, EngineOptions opts,
                std::shared_ptr<PackedWeightCache> cache)
     : model_(std::move(model)),
       opts_(opts),
-      spec_(GetGpuSpec(opts.planner.arch)),
       cache_(std::move(cache)),
       masters_(model_.layers.size()) {
   SHFLBW_CHECK_MSG(!model_.layers.empty(), "model has no layers");
@@ -206,6 +205,15 @@ void Engine::FillLayerInput(std::size_t layer,
   SHFLBW_HOT_END;
 }
 
+std::string PlanLayerLabels(const LayerPlan& lp) {
+  char density[32] = {};  // the longest shortest-round-trip double is 24
+  char* const end =
+      std::to_chars(density, density + sizeof density, lp.density).ptr;
+  return "{layer=\"" + lp.name + "\",format=\"" + FormatName(lp.format) +
+         "\",density=\"" + std::string(density, end) + "\",v=\"" +
+         std::to_string(lp.v) + "\"}";
+}
+
 const std::vector<Engine::KernelMetrics>& Engine::KernelMetricsHandles() {
   if (!kernel_metrics_.empty()) return kernel_metrics_;
   obs::Registry& reg = opts_.telemetry->registry();
@@ -213,17 +221,12 @@ const std::vector<Engine::KernelMetrics>& Engine::KernelMetricsHandles() {
   for (const LayerPlan& lp : plan_->layers) {
     // Full profiling key: the (layer, format, density, V) tuple the
     // roofline calibration wants, formatted once here and never on the
-    // launch path.
-    std::ostringstream key;
-    key.precision(4);
-    key << "{layer=\"" << lp.name << "\",format=\"" << FormatName(lp.format)
-        << "\",density=\"" << lp.density << "\",v=\"" << lp.v << "\"}";
-    // The drift row shares the full key: distinct ladder levels plan
-    // the same layer name at different (format, density, V) — and
-    // different modeled_s — so a layer-only label would make levels
-    // fight over one gauge. Replicas at the same level share a plan,
-    // so sharing the row is correct there.
-    const std::string labels = key.str();
+    // launch path. The drift row shares the full key: distinct ladder
+    // levels plan the same layer name at different (format, density,
+    // V) — and different modeled_s — so a layer-only label would make
+    // levels fight over one gauge. Replicas at the same level share a
+    // plan, so sharing the row is correct there.
+    const std::string labels = PlanLayerLabels(lp);
     KernelMetrics m;
     m.launches = &reg.GetCounter(
         "shflbw_kernel_launches_total" + labels,
@@ -332,7 +335,7 @@ BatchRunResult Engine::RunBatched(const std::vector<std::uint64_t>& seeds,
     rec.seconds = t1 - t0;
     // A conv layer's useful FLOPs are those of its implicit GEMM, whose
     // N is the fused batch's output pixels.
-    rec.useful_flops = ops.gemm_stats(w, block_n * width, spec_).useful_flops;
+    rec.useful_flops = 2.0 * w.StoredValues() * (block_n * width);
     rec.modeled_s = lp.modeled_s;
     rec.modeled_dense_s = lp.modeled_dense_s;
     result.kernel_seconds += rec.seconds;

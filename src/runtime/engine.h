@@ -70,13 +70,19 @@ struct BatchContext {
   std::int32_t level = -1;  // ladder level this engine serves
 };
 
+/// The label set `{layer="..",format="..",density="..",v=".."}` of a
+/// plan layer's profiling counters and drift gauges. The density is the
+/// shortest text that reads back as the same double, so two distinct
+/// densities never share a row. Statusz looks the gauges up with it.
+std::string PlanLayerLabels(const LayerPlan& lp);
+
 /// Measured execution of one layer (one invocation).
 struct LayerRunRecord {
   std::string name;
   Format format = Format::kDense;
   int repeat = 1;
   double seconds = 0;       // measured kernel wall-clock
-  double useful_flops = 0;  // from the format's stats model
+  double useful_flops = 0;  // 2 x stored weight values x fused N
   double modeled_s = 0;     // planner's cost-model prediction
   double modeled_dense_s = 0;
 
@@ -183,7 +189,11 @@ class Engine {
   [[nodiscard]] const ModelDesc& model() const { return model_; }
   [[nodiscard]] const EngineOptions& options() const { return opts_; }
   [[nodiscard]] const PackedWeightCache& cache() const { return *cache_; }
-  [[nodiscard]] const GpuSpec& gpu() const { return spec_; }
+  /// The planner's modelled GPU. Nothing on the launch path reads it;
+  /// callers that model a launch (perfbench's kernel probe) do.
+  [[nodiscard]] const GpuSpec& gpu() const {
+    return GetGpuSpec(opts_.planner.arch);
+  }
 
  private:
   /// Synthesized master weight of layer i (created once, then cached).
@@ -240,7 +250,6 @@ class Engine {
 
   ModelDesc model_;
   EngineOptions opts_;
-  GpuSpec spec_;
   std::optional<ExecutionPlan> plan_;
   std::shared_ptr<PackedWeightCache> cache_;  // owned unless injected
   std::vector<std::optional<Matrix<float>>> masters_;

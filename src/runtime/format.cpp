@@ -43,9 +43,6 @@ constexpr FormatOps kOps[] = {
         .gemm = [](const PackedWeight& w, const Matrix<float>& act) {
           return GemmReference(w.dense, act);
         },
-        .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
-          return GemmTensorCoreStats(w.dense.rows(), n, w.dense.cols(), spec);
-        },
         .gemm_model = [](int m, int n, int k, double, int,
                          const GpuSpec& spec) {
           return LayerModel{GemmTensorCoreStats(m, n, k, spec)};
@@ -73,9 +70,6 @@ constexpr FormatOps kOps[] = {
         .gemm = [](const PackedWeight& w, const Matrix<float>& act) {
           return SpmmCsr(w.csr, act);
         },
-        .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
-          return SpmmSputnikStats(w.csr.rows, n, w.csr.cols, w.csr.Nnz(), spec);
-        },
         .gemm_model = [](int m, int n, int k, double density, int,
                          const GpuSpec& spec) {
           return LayerModel{SpmmSputnikStats(m, n, k, density * m * k, spec)};
@@ -96,10 +90,6 @@ constexpr FormatOps kOps[] = {
         },
         .gemm = [](const PackedWeight& w, const Matrix<float>& act) {
           return SpmmBsr(w.bsr, act);
-        },
-        .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
-          return SpmmBsrStats(w.bsr.rows, n, w.bsr.cols, w.bsr.NnzBlocks(),
-                              w.bsr.block_size, spec);
         },
         .gemm_model = [](int m, int n, int k, double density, int v,
                          const GpuSpec& spec) {
@@ -130,10 +120,6 @@ constexpr FormatOps kOps[] = {
         .gemm = [](const PackedWeight& w, const Matrix<float>& act) {
           return SpmmBalanced24(w.balanced24, act);
         },
-        .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
-          return SpmmBalanced24Stats(w.balanced24.rows, n, w.balanced24.cols,
-                                     spec);
-        },
         .gemm_model = [](int m, int n, int k, double, int,
                          const GpuSpec& spec) {
           if (spec.arch != GpuArch::kA100) {
@@ -160,9 +146,6 @@ constexpr FormatOps kOps[] = {
         },
         .gemm = [](const PackedWeight& w, const Matrix<float>& act) {
           return SpmmVectorWise(w.vw, act);
-        },
-        .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
-          return SpmmVectorWiseStats(w.vw, n, spec);
         },
         .gemm_model = [](int m, int n, int k, double density, int v,
                          const GpuSpec& spec) {
@@ -203,9 +186,6 @@ constexpr FormatOps kOps[] = {
         .gemm = [](const PackedWeight& w, const Matrix<float>& act) {
           return SpmmShflBw(w.shflbw, act);
         },
-        .gemm_stats = [](const PackedWeight& w, int n, const GpuSpec& spec) {
-          return SpmmShflBwStats(w.shflbw, n, spec);
-        },
         .gemm_model = [](int m, int n, int k, double density, int v,
                          const GpuSpec& spec) {
           if (m % v != 0) return LayerModel{std::nullopt, kVNotDividingM};
@@ -234,6 +214,14 @@ constexpr bool InFormatOrder() {
 static_assert(InFormatOrder(), "kOps must be indexed by Format");
 
 }  // namespace
+
+double PackedWeight::StoredValues() const {
+  // Only the member matching `format` is populated; the others hold no
+  // values.
+  return static_cast<double>(dense.size() + csr.values.size() +
+                             bsr.values.size() + balanced24.values.size() +
+                             vw.values.size() + shflbw.vw.values.size());
+}
 
 const FormatOps& Ops(Format f) {
   const auto i = static_cast<std::size_t>(f);

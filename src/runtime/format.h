@@ -58,6 +58,12 @@ struct PackedWeight {
   VectorWiseMatrix vw;
   ShflBwMatrix shflbw;
   double pack_seconds = 0;  // wall-clock spent pruning + converting
+
+  /// Weight values stored: m·k for dense, nnz for CSR, blocks·V² for
+  /// BSR, m·k/2 for 2:4 and kept vectors·V for VW and Shfl-BW. A
+  /// launch on n activation columns retires 2 · StoredValues() · n
+  /// useful FLOPs.
+  [[nodiscard]] double StoredValues() const;
 };
 
 /// A pruning mask in original row order, plus the row permutation the
@@ -96,9 +102,6 @@ struct FormatOps {
                PackedWeight& out);
   /// C = W * act on the format's kernel.
   Matrix<float> (*gemm)(const PackedWeight& w, const Matrix<float>& act);
-  /// The stats model of `gemm` for `w` on n activation columns.
-  KernelStats (*gemm_stats)(const PackedWeight& w, int n,
-                            const GpuSpec& spec);
   /// The model of `gemm` on an m x k weight kept at (density, v), before
   /// anything is packed: what the planner and the figures time. CSR is
   /// modelled as Sputnik, the stronger of the two unstructured

@@ -19,12 +19,6 @@ ConvShape ToConvShape(const ConvLayerSpec& l) {
   return s;
 }
 
-double ModelDesc::TotalFlops() const {
-  double total = 0.0;
-  for (const LayerDesc& l : layers) total += l.Flops() * l.repeat;
-  return total;
-}
-
 ModelDesc ModelDesc::Transformer(const TransformerConfig& cfg) {
   const auto specs = TransformerLayers(cfg);
   const auto counts = TransformerLayerCounts(cfg);

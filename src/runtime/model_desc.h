@@ -41,10 +41,6 @@ struct LayerDesc {
   [[nodiscard]] int GemmK() const {
     return kind == LayerKind::kGemm ? gemm.k : conv.GemmK();
   }
-  /// Dense FLOPs of ONE invocation (repeat not folded in).
-  [[nodiscard]] double Flops() const {
-    return 2.0 * GemmM() * static_cast<double>(GemmN()) * GemmK();
-  }
 };
 
 /// View of a conv layer spec as the kernel-facing ConvShape (repeat is
@@ -56,9 +52,6 @@ ConvShape ToConvShape(const ConvLayerSpec& l);
 struct ModelDesc {
   std::string name;
   std::vector<LayerDesc> layers;
-
-  /// Dense FLOPs of the full model (repeat-weighted).
-  [[nodiscard]] double TotalFlops() const;
 
   static ModelDesc Transformer(const TransformerConfig& cfg = {});
   static ModelDesc Gnmt(const GnmtConfig& cfg = {});

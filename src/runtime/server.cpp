@@ -874,16 +874,6 @@ std::string FmtDouble(double v) {
   return os.str();
 }
 
-/// The exact label suffix the engine appends to the plan drift gauges
-/// (shflbw_plan_{modeled,measured}_seconds / shflbw_plan_drift_ratio),
-/// so statusz can look up per-layer drift by reconstructing the name.
-std::string PlanGaugeLabel(const LayerPlan& lp) {
-  std::ostringstream os;
-  os << "{layer=\"" << lp.name << "\",format=\"" << FormatName(lp.format)
-     << "\",density=\"" << lp.density << "\",v=\"" << lp.v << "\"}";
-  return os.str();
-}
-
 std::string GaugeCell(const obs::Registry& reg, const std::string& name) {
   const obs::Gauge* g = reg.FindGauge(name);
   return g == nullptr ? std::string("-") : FmtDouble(g->Value());
@@ -904,7 +894,6 @@ obs::StatusReport BatchServer::Status() const {
     s.AddText("build_type", bi.build_type);
     s.AddText("cxx_flags", bi.cxx_flags);
     s.AddNumber("cxx_standard", static_cast<double>(bi.cxx_standard));
-    s.AddNumber("obs_compiled_in", bi.obs_compiled_in ? 1 : 0);
     s.AddText("kernel_tier", KernelTierName(ActiveKernelTier()));
     s.AddNumber("threads", ParallelThreadCount());
     s.AddNumber("uptime_seconds", now - start_seconds_);
@@ -1054,7 +1043,7 @@ obs::StatusReport BatchServer::Status() const {
         s.AddTable("layers", {"layer", "format", "density", "v", "modeled_s",
                               "retained", "measured_s", "drift"});
     for (const LayerPlan& lp : plan.layers) {
-      const std::string label = PlanGaugeLabel(lp);
+      const std::string label = PlanLayerLabels(lp);
       t.rows.push_back(
           {lp.name, FormatName(lp.format), FmtDouble(lp.density),
            std::to_string(lp.v), FmtDouble(lp.modeled_s),

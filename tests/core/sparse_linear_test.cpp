@@ -1,7 +1,6 @@
 // A pruned linear layer on the runtime surface: the weight
 // runtime::PackWeight packs keeps only the master's own entries at the
-// target density, the kernel the engine runs on it is the kernel the
-// planner modelled, and ModeledLayerSeconds puts Shfl-BW above and
+// target density, and ModeledLayerSeconds puts Shfl-BW above and
 // unstructured sparsity below the tensor-core dense baseline at 75%
 // sparsity (Fig. 1 region C, §6.2).
 #include <gtest/gtest.h>
@@ -51,28 +50,6 @@ TEST(SparseLinear, UnstructuredSlowerThanDenseOnTensorCoreBaseline) {
   // §6.2: unstructured cannot exceed the tensor-core dense baseline even
   // at high sparsity.
   EXPECT_LT(SpeedupAt75PercentSparsity(Format::kCsr, 2048, 128, 2048), 1.0);
-}
-
-// The stats of the kernel that runs on a packed weight model the same
-// kernel the planner timed before anything was packed.
-TEST(SparseLinear, PackedKernelIsTheModelledKernel) {
-  Rng rng(317);
-  const Matrix<float> w = rng.NormalMatrix(256, 256);
-  const GpuSpec& spec = GetGpuSpec(GpuArch::kA100);  // 2:4 is A100-only
-  for (Format f : AllFormats()) {
-    const double density =
-        Ops(f).fixed_density > 0 ? Ops(f).fixed_density : 0.25;
-    const LayerModel model = Ops(f).gemm_model(256, 64, 256, density, 32, spec);
-    ASSERT_TRUE(model.stats) << FormatName(f) << ": " << model.why;
-    const KernelStats packed =
-        Ops(f).gemm_stats(PackWeight(f, w, density, 32), 64, spec);
-    EXPECT_EQ(packed.kernel_class, model.stats->kernel_class)
-        << FormatName(f);
-  }
-  EXPECT_EQ(Ops(Format::kShflBw)
-                .gemm_model(256, 64, 256, 0.25, 32, spec)
-                .stats->kernel_class,
-            KernelClass::kShflBwTensorCore);
 }
 
 }  // namespace

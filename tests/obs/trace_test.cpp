@@ -58,8 +58,6 @@ TEST(TraceRecorder, LabelsTruncateSafely) {
   EXPECT_EQ(std::string(ev.label2).size(), sizeof(ev.label2) - 1);
 }
 
-#if SHFLBW_OBS  // Record() and the serving integration need the hot path
-
 using runtime::BatchServer;
 using runtime::EngineOptions;
 using runtime::FaultInjector;
@@ -515,8 +513,6 @@ TEST(BatchServerTrace, DisabledByDefaultRecordsNoSpans) {
   server.Drain();
   EXPECT_EQ(server.telemetry().trace().size(), 0u);
 }
-
-#endif  // SHFLBW_OBS
 
 }  // namespace
 }  // namespace obs

@@ -142,16 +142,10 @@ TEST(Engine, AutotunePacksAtPlanTimeAndKeepsRunsCacheOnly) {
   EXPECT_TRUE(any_measured);
 }
 
-// Regression: with autotune_top_k far above the number of feasible
-// candidates, the plan summary must still only report genuinely
-// measured winners — a candidate skipped by feasibility rules keeps
-// measured_s == 0 and can never surface as an "autotuned" choice.
 // With a telemetry sink attached, every plan layer publishes its
 // planned-vs-measured drift after a run: modeled seconds are set at
 // plan registration, measured seconds and the drift ratio after the
 // first launch. One gauge per plan layer, all strictly positive.
-// Kernel profiling compiles out entirely at SHFLBW_OBS=0.
-#if SHFLBW_OBS
 TEST(Engine, KernelProfilingPublishesDriftPerPlanLayer) {
   ThreadGuard guard;
   SetParallelThreads(1);
@@ -183,8 +177,11 @@ TEST(Engine, KernelProfilingPublishesDriftPerPlanLayer) {
     EXPECT_GT(measured->Value(), 0.0);
   }
 }
-#endif  // SHFLBW_OBS
 
+// Regression: with autotune_top_k far above the number of feasible
+// candidates, the plan summary must still only report genuinely
+// measured winners — a candidate skipped by feasibility rules keeps
+// measured_s == 0 and can never surface as an "autotuned" choice.
 TEST(Engine, AutotuneReportsOnlyGenuinelyMeasuredWinners) {
   EngineOptions opts = SmallOptions();
   opts.planner.autotune = true;

@@ -1,11 +1,13 @@
 // statusz + watchdog integration: the report structure renders
 // consistently as text and JSON (the JSON side validated by the strict
 // benchdiff parser — the same consumer the CI regression gate uses),
-// BatchServer::Status() exposes every operational section, DumpStatus
-// writes the text/JSON pair, and — the acceptance path — a replica
+// BatchServer::Status() exposes every operational section, the plan
+// table finds every layer's drift gauges, DumpStatus writes the
+// text/JSON pair, and — the acceptance path — a replica
 // deterministically wedged via fault-injected launch delay trips the
 // watchdog within its budget and leaves a postmortem on disk naming
 // the stalled replica.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -19,7 +21,6 @@
 #include "common/clock.h"
 #include "common/thread_pool.h"
 #include "kernels/spmm_vector_wise.h"
-#include "obs/obs_config.h"
 #include "obs/statusz.h"
 #include "runtime/server.h"
 
@@ -139,6 +140,50 @@ TEST(BatchServer, StatusExposesEveryOperationalSection) {
   ASSERT_TRUE(benchdiff::ParseJson(server.StatusJson(), &root, &err)) << err;
 }
 
+// The plan table finds every layer's measured seconds and drift after
+// a served request, whatever the digits of its density: the engine
+// names the gauges and statusz looks them up with one label function,
+// so a density of 1/3 resolves like 0.25 does.
+TEST(BatchServer, PlanTableShowsDriftAtADensityOfOneThird) {
+  ThreadGuard guard;
+  SetParallelThreads(1);
+  ServerOptions opts;
+  opts.replicas = 1;
+  opts.engine = SmallOptions();
+  opts.engine.planner.density = 1.0 / 3;
+  BatchServer server(SmallTransformer(), opts);
+  (void)server.Submit(Request{}).get();
+  server.Drain();
+
+  const obs::StatusTable* layers = nullptr;
+  const obs::StatusReport report = server.Status();
+  for (const obs::StatusSection& s : report.sections) {
+    for (const obs::StatusTable& t : s.tables) {
+      if (s.name == "plan" && t.name == "layers") layers = &t;
+    }
+  }
+  ASSERT_NE(layers, nullptr);
+  const auto column = [&](const std::string& name) {
+    const auto it =
+        std::find(layers->columns.begin(), layers->columns.end(), name);
+    return static_cast<std::size_t>(it - layers->columns.begin());
+  };
+  const std::size_t density = column("density");
+  const std::size_t measured = column("measured_s");
+  const std::size_t drift = column("drift");
+  for (const std::size_t c : {density, measured, drift}) {
+    ASSERT_LT(c, layers->columns.size());
+  }
+  ASSERT_FALSE(layers->rows.empty());
+  bool one_third = false;
+  for (const std::vector<std::string>& row : layers->rows) {
+    one_third = one_third || row[density] == "0.333333";
+    EXPECT_NE(row[measured], "-") << row[0];
+    EXPECT_NE(row[drift], "-") << row[0];
+  }
+  EXPECT_TRUE(one_third) << "no layer was planned at density 1/3";
+}
+
 TEST(BatchServer, DumpStatusWritesTextAndJson) {
   ThreadGuard guard;
   SetParallelThreads(1);
@@ -173,9 +218,6 @@ TEST(BatchServer, DumpStatusWritesTextAndJson) {
 // and the postmortem statusz + flight dumps land on disk naming the
 // stalled replica.
 TEST(BatchServer, WedgedReplicaTripsWatchdogAndDumpsPostmortem) {
-  if (!obs::kCompiledIn) {
-    GTEST_SKIP() << "flight recorder compiled out";
-  }
   ThreadGuard guard;
   SetParallelThreads(1);
   TempFiles tmp;

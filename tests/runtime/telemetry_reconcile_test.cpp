@@ -18,7 +18,6 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "obs/obs_config.h"
 #include "runtime/server.h"
 
 namespace shflbw {
@@ -269,7 +268,6 @@ void ExpectTelemetryReconciles(const BatchServer& server) {
 }
 
 TEST(TelemetryReconcile, EveryDecisionKindAgreesAcrossSinks) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   ThreadGuard guard;
   SetParallelThreads(1);
   BatchServer server(SmallTransformer(), ReconcileOptions());
@@ -278,7 +276,6 @@ TEST(TelemetryReconcile, EveryDecisionKindAgreesAcrossSinks) {
 }
 
 TEST(TelemetryReconcile, WarmupRequestsGetTheSameAdmissionRecord) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   ThreadGuard guard;
   SetParallelThreads(1);
   BatchServer server(SmallTransformer(), ReconcileOptions());
